@@ -524,6 +524,20 @@ let micro () =
   let arc = List.hd nand.Aging_liberty.Library.arcs in
   let design = Aging_designs.Designs.risc5 () in
   let structure = Aging_sta.Timing.prepare_structure design in
+  (* One swap and its rollback: the first instance from mid-design on
+     that has an X2 variant, re-bound to it. *)
+  let timer = Aging_sta.Timing.Incremental.create ~library:fresh design in
+  let swap_inst, swap_cell =
+    let insts = design.Aging_netlist.Netlist.instances in
+    let rec from i =
+      let cell = Aging_netlist.Netlist.catalog_cell insts.(i) in
+      let x2 = cell.Aging_cells.Cell.base ^ "_X2" in
+      if x2 <> cell.Aging_cells.Cell.name && Aging_liberty.Library.find fresh x2 <> None
+      then (i, x2)
+      else from ((i + 1) mod Array.length insts)
+    in
+    from (Array.length insts / 2)
+  in
   let compiled = Aging_netlist.Netlist.compile design in
   let state = Aging_netlist.Netlist.initial_state design in
   let inputs =
@@ -541,6 +555,9 @@ let micro () =
             ~slew:5.3e-11 ~load:3.1e-15));
       Test.make ~name:"sta-full-pass-risc5" (Staged.stage (fun () ->
           Aging_sta.Timing.analyze ~structure ~library:fresh design));
+      Test.make ~name:"sta-swap-risc5" (Staged.stage (fun () ->
+          Aging_sta.Timing.Incremental.swap timer ~inst:swap_inst ~cell:swap_cell;
+          Aging_sta.Timing.Incremental.rollback timer));
       Test.make ~name:"cycle-eval-risc5" (Staged.stage (fun () ->
           Aging_netlist.Netlist.compiled_cycle compiled state ~inputs));
       Test.make ~name:"transient-inv-arc" (Staged.stage (fun () ->

@@ -14,6 +14,8 @@ module Engine = Aging_spice.Engine
 module Stimulus = Aging_spice.Stimulus
 module Waveform = Aging_spice.Waveform
 module Timing = Aging_sta.Timing
+module Paths = Aging_sta.Paths
+module Netlist = Aging_netlist.Netlist
 module Sdf = Aging_sta.Sdf
 module Event_sim = Aging_sim.Event_sim
 module Flow = Aging_synth.Flow
@@ -946,6 +948,172 @@ let surrogate_delay c =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* 11. sta-incremental: the incremental timer vs a fresh full pass     *)
+(* after every swap, commit and rollback of a random sequence.          *)
+
+type inc_target = Any_instance | On_critical_path | Flipflop
+
+type inc_op = {
+  io_target : inc_target;
+  io_pick : int;  (** reduced modulo the instances the target admits *)
+  io_variant : int;  (** reduced modulo the picked instance's family *)
+  io_then : [ `Keep | `Commit | `Rollback ];  (** after the swap *)
+}
+
+type inc_case = { ic_spec : Netgen.spec; ic_ops : inc_op list }
+
+let pp_inc_case c =
+  let op o =
+    Printf.sprintf "%s%d/%d%s"
+      (match o.io_target with
+      | Any_instance -> "any"
+      | On_critical_path -> "cp"
+      | Flipflop -> "ff")
+      o.io_pick o.io_variant
+      (match o.io_then with `Keep -> "" | `Commit -> "+commit" | `Rollback -> "+rollback")
+  in
+  Printf.sprintf "{netlist=%s ops=[%s]}" (Netgen.pp_spec c.ic_spec)
+    (String.concat " " (List.map op c.ic_ops))
+
+let inc_case_gen =
+  let open Gen in
+  let op =
+    let+ io_target = oneofl [ Any_instance; On_critical_path; Flipflop ]
+    and+ io_pick = int_range 0 1023
+    and+ io_variant = int_range 0 15
+    and+ io_then = oneofl [ `Keep; `Commit; `Rollback ] in
+    { io_target; io_pick; io_variant; io_then }
+  in
+  let+ ic_spec = Netgen.spec and+ ic_ops = list_range 1 12 op in
+  { ic_spec; ic_ops }
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* First difference between two analyses of the same connectivity, bit for
+   bit: per-net loads, arrivals, earliest arrivals, slews and provenance,
+   then the sorted endpoint list. *)
+let timing_mismatch ~n_nets inc full =
+  let at_net net =
+    if not (same_bits (Timing.load_on inc net) (Timing.load_on full net)) then
+      Some (Printf.sprintf "load on net %d: %h vs %h" net (Timing.load_on inc net)
+              (Timing.load_on full net))
+    else
+      List.find_map
+        (fun dir ->
+          let edge = match dir with Library.Rise -> "rise" | Library.Fall -> "fall" in
+          match
+            List.find_map
+              (fun (what, f) ->
+                if same_bits (f inc net dir) (f full net dir) then None
+                else
+                  Some
+                    (Printf.sprintf "%s on net %d (%s): %h vs %h" what net edge
+                       (f inc net dir) (f full net dir)))
+              [
+                ("arrival", Timing.arrival);
+                ("min arrival", Timing.min_arrival);
+                ("slew", Timing.slew_at);
+              ]
+          with
+          | Some _ as m -> m
+          | None ->
+            if Timing.provenance inc net dir = Timing.provenance full net dir then None
+            else Some (Printf.sprintf "provenance on net %d (%s)" net edge))
+        [ Library.Rise; Library.Fall ]
+  in
+  match List.find_map at_net (List.init n_nets Fun.id) with
+  | Some _ as m -> m
+  | None ->
+    let same_endpoint (a : Timing.endpoint_timing) (b : Timing.endpoint_timing) =
+      a.Timing.endpoint = b.Timing.endpoint
+      && a.Timing.direction = b.Timing.direction
+      && same_bits a.Timing.data_arrival b.Timing.data_arrival
+      && same_bits a.Timing.setup b.Timing.setup
+    in
+    let ea = Timing.endpoints inc and eb = Timing.endpoints full in
+    if List.length ea = List.length eb && List.for_all2 same_endpoint ea eb then None
+    else Some "endpoint list differs"
+
+let sta_incremental c =
+  let netlist = Netgen.build c.ic_spec in
+  let library = Lazy.force shared_fresh in
+  let timer = Timing.Incremental.create ~library netlist in
+  let view = Timing.Incremental.analysis timer in
+  let n = Array.length netlist.Netlist.instances in
+  (* The cells the timer should hold now, and at the last commit. *)
+  let cells =
+    Array.map (fun i -> i.Netlist.cell_name) netlist.Netlist.instances
+  in
+  let committed = Array.copy cells in
+  let expected () =
+    {
+      netlist with
+      Netlist.instances =
+        Array.mapi
+          (fun i inst -> { inst with Netlist.cell_name = cells.(i) })
+          netlist.Netlist.instances;
+    }
+  in
+  let variants i =
+    let base = (Netlist.catalog_cell (Timing.instance view i)).Cell.base in
+    List.filter (fun (e : Library.entry) -> e.Library.cell.Cell.base = base)
+      (Library.entries library)
+  in
+  let candidates = function
+    | Any_instance -> List.init n Fun.id
+    | Flipflop ->
+      List.filter
+        (fun i -> Netlist.is_flipflop (Timing.instance view i))
+        (List.init n Fun.id)
+    | On_critical_path ->
+      (match Timing.endpoints view with
+       | [] -> []
+       | _ ->
+         List.map (fun (s : Paths.step) -> s.Paths.index)
+           (Paths.critical view).Paths.steps)
+  in
+  let check step what =
+    let nl = expected () in
+    if Timing.netlist view <> nl then
+      fail "step %d (%s): timer netlist differs from the swapped netlist" step what
+    else
+      match
+        timing_mismatch ~n_nets:nl.Netlist.n_nets view
+          (Timing.analyze ~library nl)
+      with
+      | None -> Ok ()
+      | Some m -> fail "step %d (%s): %s" step what m
+  in
+  let rec run step = function
+    | [] -> Ok ()
+    | o :: rest ->
+      match candidates o.io_target with
+      | [] -> run (step + 1) rest
+      | pool ->
+        let i = List.nth pool (o.io_pick mod List.length pool) in
+        let vs = variants i in
+        let v = (List.nth vs (o.io_variant mod List.length vs)).Library.indexed_name in
+        Timing.Incremental.swap timer ~inst:i ~cell:v;
+        cells.(i) <- v;
+        let** () = check step (Printf.sprintf "swap %d to %s" i v) in
+        let** () =
+          match o.io_then with
+          | `Keep -> Ok ()
+          | `Commit ->
+            Timing.Incremental.commit timer;
+            Array.blit cells 0 committed 0 n;
+            Ok ()
+          | `Rollback ->
+            Timing.Incremental.rollback timer;
+            Array.blit committed 0 cells 0 n;
+            check step "rollback"
+        in
+        run (step + 1) rest
+  in
+  let** () = check 0 "create" in
+  run 1 c.ic_ops
+
+(* ------------------------------------------------------------------ *)
 
 let mk name doc ~print ~gen prop =
   {
@@ -1003,6 +1171,11 @@ let all () =
        a small multiple of the tolerance (and within it on average), and \
        every low-confidence point fell back to simulation"
       ~print:pp_sur_case ~gen:sur_case_gen surrogate_delay;
+    mk "sta-incremental"
+      "the incremental timer after random cell swaps (on and off the \
+       critical path, flip-flops included), commits and rollbacks matches \
+       a fresh full timing pass bit for bit"
+      ~print:pp_inc_case ~gen:inc_case_gen sta_incremental;
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) (all ())

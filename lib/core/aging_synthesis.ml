@@ -34,18 +34,19 @@ let run ?options ?(corner = Scenario.worst_case) ~deglib netlist =
     Aging_synth.Slew_repair.repair ~library:aged_lib resized
   in
   let aged_period nl = Flow.min_period ~library:aged_lib nl in
-  let aware =
-    if aged_period aware_scratch <= aged_period aware_incremental then
-      aware_scratch
-    else aware_incremental
+  let aware, aware_aged_period =
+    let scratch = aged_period aware_scratch in
+    let incremental = aged_period aware_incremental in
+    if scratch <= incremental then (aware_scratch, scratch)
+    else (aware_incremental, incremental)
   in
   {
     traditional;
     aware;
     trad_fresh_period = Flow.min_period ~library:fresh_lib traditional;
-    trad_aged_period = Flow.min_period ~library:aged_lib traditional;
+    trad_aged_period = aged_period traditional;
     aware_fresh_period = Flow.min_period ~library:fresh_lib aware;
-    aware_aged_period = Flow.min_period ~library:aged_lib aware;
+    aware_aged_period;
   }
 
 let required_guardband c = c.trad_aged_period -. c.trad_fresh_period

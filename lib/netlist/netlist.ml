@@ -169,7 +169,7 @@ end
 let flipflops t =
   Array.to_list (Array.of_seq (Seq.filter is_flipflop (Array.to_seq t.instances)))
 
-let combinational_order t =
+let combinational_indices t =
   let driver = Hashtbl.create (t.n_nets * 2) in
   Array.iteri
     (fun idx inst ->
@@ -200,7 +200,7 @@ let combinational_order t =
   let seen = ref 0 in
   while not (Queue.is_empty queue) do
     let idx = Queue.pop queue in
-    order := t.instances.(idx) :: !order;
+    order := idx :: !order;
     incr seen;
     List.iter
       (fun d ->
@@ -211,7 +211,10 @@ let combinational_order t =
   let total_comb = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 comb in
   if !seen <> total_comb then
     failwith ("Netlist.combinational_order: combinational cycle in " ^ t.design_name);
-  List.rev !order
+  Array.of_list (List.rev !order)
+
+let combinational_order t =
+  Array.to_list (Array.map (fun idx -> t.instances.(idx)) (combinational_indices t))
 
 let driver_of t net =
   let found = ref None in

@@ -78,6 +78,9 @@ val combinational_order : t -> instance list
     primary inputs are sources).
     @raise Failure on a combinational cycle. *)
 
+val combinational_indices : t -> int array
+(** {!combinational_order} as indices into [instances]. *)
+
 val flipflops : t -> instance list
 
 val driver_of : t -> net -> (instance * string) option

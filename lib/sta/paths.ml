@@ -2,6 +2,7 @@ module Library = Aging_liberty.Library
 module Netlist = Aging_netlist.Netlist
 
 type step = {
+  index : int;
   inst : Netlist.instance;
   from_pin : string;
   to_pin : string;
@@ -39,10 +40,12 @@ let trace analysis (e : Timing.endpoint_timing) =
   let rec walk net dir acc =
     match Timing.provenance analysis net dir with
     | None -> (net, acc)
-    | Some (inst, from_pin, in_dir) ->
+    | Some (index, from_pin, in_dir) ->
+      let inst = Timing.instance analysis index in
       let in_net = input_net_for inst from_pin in
       let step =
         {
+          index;
           inst;
           from_pin;
           to_pin = output_pin_for inst net;

@@ -7,6 +7,7 @@
     aging instead of re-analyzing the whole design. *)
 
 type step = {
+  index : int;  (** of [inst] in the netlist's instances *)
   inst : Aging_netlist.Netlist.instance;
   from_pin : string;
   to_pin : string;
@@ -25,6 +26,9 @@ type t = {
 
 val critical : Timing.analysis -> t
 (** The worst path of the design.  @raise Failure on an empty design. *)
+
+val trace : Timing.analysis -> Timing.endpoint_timing -> t
+(** The worst path into one endpoint. *)
 
 val per_endpoint : Timing.analysis -> t list
 (** One worst path per endpoint, sorted worst-first.  This is the path set

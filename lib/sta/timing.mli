@@ -22,9 +22,9 @@ type analysis
 (** Result of one timing pass over a netlist. *)
 
 type structure
-(** Topology of a netlist (combinational order, flip-flop list) that is
-    independent of cell selection: reusable across re-timings of
-    drive-swapped variants of the same netlist. *)
+(** Topology of a netlist (combinational order, flip-flop list, by instance
+    index) that is independent of cell selection: reusable across
+    re-timings of drive-swapped variants of the same netlist. *)
 
 val prepare_structure : Aging_netlist.Netlist.t -> structure
 
@@ -39,6 +39,12 @@ val analyze :
     @raise Failure if a cell cannot be resolved in the library. *)
 
 val netlist : analysis -> Aging_netlist.Netlist.t
+(** The timed netlist, with the cells currently chosen. *)
+
+val instance : analysis -> int -> Aging_netlist.Netlist.instance
+(** [instance a i] is [(netlist a).instances.(i)], without building the
+    netlist. *)
+
 val library : analysis -> Aging_liberty.Library.t
 val config : analysis -> config
 
@@ -94,6 +100,45 @@ val min_period : analysis -> float
 
 val provenance :
   analysis -> Aging_netlist.Netlist.net -> Aging_liberty.Library.direction ->
-  (Aging_netlist.Netlist.instance * string * Aging_liberty.Library.direction) option
-(** The instance, input pin and input edge that produced the latest arrival
-    on (net, direction); [None] for timing start points. *)
+  (int * string * Aging_liberty.Library.direction) option
+(** The instance (an index, see {!instance}), input pin and input edge that
+    produced the latest arrival on (net, direction); [None] for timing start
+    points. *)
+
+(** {1 Incremental timing}
+
+    A timer holds one analysis and keeps it exact across single-cell
+    swaps: a swap re-sums the loads on the swapped instance's input nets,
+    re-evaluates their drivers and the instance itself, then walks the
+    forward cone in evaluation order, stopping wherever an instance's
+    outputs (arrival, earliest arrival, slew and provenance, both edges)
+    come out bitwise unchanged.  Every query on {!analysis} then returns
+    the same bits a fresh {!analyze} of the swapped netlist would. *)
+
+module Incremental : sig
+  type t
+
+  val create :
+    ?config:config -> library:Aging_liberty.Library.t ->
+    Aging_netlist.Netlist.t -> t
+  (** Times the netlist once (a full pass, counted in [sta.analyses]).
+      @raise Failure as {!analyze}. *)
+
+  val analysis : t -> analysis
+  (** The timer's live analysis: queries reflect the latest {!swap} or
+      {!rollback}. *)
+
+  val swap : t -> inst:int -> cell:string -> unit
+  (** Re-binds instance [inst] (an index into the netlist's instances) to
+      [cell], a variant with the same pins, and re-times what it reaches.
+      Counted in [sta.updates].
+      @raise Failure if [cell] is not in the library; the timer is then
+      unchanged. *)
+
+  val rollback : t -> unit
+  (** Undoes every swap since the last {!commit} (or {!create}) from the
+      journal, without propagating.  Counted in [sta.updates]. *)
+
+  val commit : t -> unit
+  (** Keeps the swaps made so far: the next {!rollback} stops here. *)
+end

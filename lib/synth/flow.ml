@@ -72,8 +72,7 @@ let compile ?(options = default_options) ~library (netlist : Netlist.t) =
      re-map at the slews/loads measured on the previous implementation, so
      covering decisions are taken at real OPCs — where a degradation-aware
      library separates aging-tolerant from aging-sensitive cells. *)
-  let extract_hints sized net_of_node =
-    let analysis = Timing.analyze ~config:options.sta_config ~library sized in
+  let extract_hints analysis net_of_node =
     let n = Array.length net_of_node in
     let node_slew = Array.make n 0. and node_load = Array.make n 0. in
     Array.iteri
@@ -93,15 +92,14 @@ let compile ?(options = default_options) ~library (netlist : Netlist.t) =
     if remaining = 0 then best
     else begin
       let sized, net_of_node = one_round hints in
-      let period =
-        Timing.min_period (Timing.analyze ~config:options.sta_config ~library sized)
-      in
+      let analysis = Timing.analyze ~config:options.sta_config ~library sized in
+      let period = Timing.min_period analysis in
       let best, best_period =
         if period < best_period then (sized, period) else (best, best_period)
       in
       if remaining = 1 then best
       else rounds (remaining - 1) best best_period
-             (Some (extract_hints sized net_of_node))
+             (Some (extract_hints analysis net_of_node))
     end
   in
   let best = rounds (max 1 options.map_rounds) netlist infinity None in

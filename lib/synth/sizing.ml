@@ -9,13 +9,6 @@ let family_variants library base =
     (fun (e : Library.entry) -> e.Library.cell.Cell.base = base)
     (Library.entries library)
 
-let swap_cell netlist ~inst_name ~cell_name =
-  Netlist.rename_cells
-    (fun inst ->
-      if inst.Netlist.inst_name = inst_name then cell_name
-      else inst.Netlist.cell_name)
-    netlist
-
 let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
@@ -44,18 +37,20 @@ let better a b =
   || (a.period < b.period +. eps && a.lateness < b.lateness -. eps)
 
 let resize ?(passes = 10) ?(max_trials = 250) ?config ~library netlist =
-  (* Cell swaps preserve connectivity, so the topological structure is
-     computed once for the whole optimization. *)
-  let structure = Timing.prepare_structure netlist in
-  let analyze nl = Timing.analyze ?config ~structure ~library nl in
+  (* Each trial swaps one cell in an incremental timer and rolls the swap
+     back unless it improves the cost; the timer's analysis always equals
+     a full pass over the current netlist. *)
+  let timer = Timing.Incremental.create ?config ~library netlist in
+  let analysis = Timing.Incremental.analysis timer in
   let trials = ref 0 in
-  let one_pass nl =
-    let analysis = analyze nl in
+  let one_pass () =
     let base_period = Timing.min_period analysis in
     (* Near-critical window: endpoints within 5 % of the worst. *)
     let threshold = base_period *. 0.95 in
     let base_cost = cost_of ~threshold analysis in
-    let paths = take 8 (Paths.per_endpoint analysis) in
+    let paths = List.map (Paths.trace analysis) (take 8 (Timing.endpoints analysis)) in
+    (* Tried in (instance name, family) order; the index identifies the
+       instance, names need not be unique. *)
     let candidates =
       List.sort_uniq compare
         (List.concat_map
@@ -63,52 +58,44 @@ let resize ?(passes = 10) ?(max_trials = 250) ?config ~library netlist =
              List.map
                (fun (s : Paths.step) ->
                  ( s.Paths.inst.Netlist.inst_name,
-                   (Netlist.catalog_cell s.Paths.inst).Cell.base ))
+                   (Netlist.catalog_cell s.Paths.inst).Cell.base,
+                   s.Paths.index ))
                p.Paths.steps)
            paths)
     in
-    let try_instance (nl, current_cost) (inst_name, base) =
-      if !trials >= max_trials then (nl, current_cost)
+    let try_instance current_cost (_, base, index) =
+      if !trials >= max_trials then current_cost
       else
-      let current =
-        let found = ref None in
-        Array.iter
-          (fun (inst : Netlist.instance) ->
-            if inst.Netlist.inst_name = inst_name then
-              found := Some inst.Netlist.cell_name)
-          nl.Netlist.instances;
-        !found
-      in
-      match current with
-      | None -> (nl, current_cost)
-      | Some current_cell ->
+        let current_cell = (Timing.instance analysis index).Netlist.cell_name in
         List.fold_left
-          (fun (nl, current_cost) (variant : Library.entry) ->
-            if variant.Library.indexed_name = current_cell then
-              (nl, current_cost)
+          (fun current_cost (variant : Library.entry) ->
+            if variant.Library.indexed_name = current_cell then current_cost
             else begin
-              let candidate =
-                swap_cell nl ~inst_name ~cell_name:variant.Library.indexed_name
-              in
+              Timing.Incremental.swap timer ~inst:index
+                ~cell:variant.Library.indexed_name;
               incr trials;
-              let c = cost_of ~threshold (analyze candidate) in
-              if better c current_cost then (candidate, c)
-              else (nl, current_cost)
+              let c = cost_of ~threshold analysis in
+              if better c current_cost then begin
+                Timing.Incremental.commit timer;
+                c
+              end
+              else begin
+                Timing.Incremental.rollback timer;
+                current_cost
+              end
             end)
-          (nl, current_cost) (family_variants library base)
+          current_cost (family_variants library base)
     in
-    let nl', cost' = List.fold_left try_instance (nl, base_cost) candidates in
-    (nl', better cost' base_cost)
+    better (List.fold_left try_instance base_cost candidates) base_cost
   in
-  let rec loop nl remaining =
-    if remaining = 0 || !trials >= max_trials then nl
-    else begin
+  let rec loop remaining =
+    if remaining > 0 && !trials < max_trials then begin
       trials := 0;
-      let nl', improved = one_pass nl in
-      if improved then loop nl' (remaining - 1) else nl'
+      if one_pass () then loop (remaining - 1)
     end
   in
-  loop netlist passes
+  loop passes;
+  Timing.netlist analysis
 
 (* ----------------------- global variant sweep ----------------------- *)
 

@@ -2,8 +2,9 @@
 
     Greedy critical-path sizing: instances on the worst paths are tried at
     every drive variant the target library offers for their family, keeping
-    a change whenever the full-design minimum period improves.  Because
-    every evaluation is a complete STA pass against the target library,
+    a change whenever the full-design minimum period improves.  Each
+    trial is re-timed incrementally ({!Aging_sta.Timing.Incremental}), with
+    the same result as a complete STA pass against the target library, so
     handing an aged library here sizes against aged delays. *)
 
 val resize :
@@ -13,8 +14,8 @@ val resize :
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   Aging_netlist.Netlist.t
-(** Defaults: [passes = 10], [max_trials = 250] full timing evaluations
-    per pass.  Stops early when a pass finds no improving move. *)
+(** Defaults: [passes = 10], [max_trials = 250] trial swaps per pass.
+    Stops early when a pass finds no improving move. *)
 
 val variant_sweep :
   ?rounds:int ->

@@ -60,7 +60,18 @@ let insert_buffer (t : Netlist.t) ~net ~buf_cell ~inst_name =
 
 let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
     ~library netlist =
+  (* Buffer names must not collide with instances already in the netlist,
+     which may itself come out of an earlier repair. *)
+  let taken = Hashtbl.create (Array.length netlist.Netlist.instances) in
+  Array.iter
+    (fun (inst : Netlist.instance) -> Hashtbl.replace taken inst.Netlist.inst_name ())
+    netlist.Netlist.instances;
   let next_buf = ref 0 in
+  let rec fresh_name () =
+    incr next_buf;
+    let name = Printf.sprintf "SRBUF%d" !next_buf in
+    if Hashtbl.mem taken name then fresh_name () else name
+  in
   let rec iterate netlist remaining =
     if remaining = 0 then netlist
     else begin
@@ -100,18 +111,15 @@ let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
               let candidate =
                 match upsized library inst with
                 | Some stronger ->
-                  Some
-                    (Netlist.rename_cells
-                       (fun i ->
-                         if i.Netlist.inst_name = inst.Netlist.inst_name then
-                           stronger
-                         else i.Netlist.cell_name)
-                       !current)
+                  (* By index: buffers are appended, so [idx] still names
+                     this instance in [!current]. *)
+                  let instances = Array.copy !current.Netlist.instances in
+                  instances.(idx) <- { instances.(idx) with Netlist.cell_name = stronger };
+                  Some { !current with Netlist.instances }
                 | None ->
-                  incr next_buf;
                   Some
                     (insert_buffer !current ~net ~buf_cell:"BUF_X4"
-                       ~inst_name:(Printf.sprintf "SRBUF%d" !next_buf))
+                       ~inst_name:(fresh_name ()))
               in
               Option.iter
                 (fun cand ->

@@ -116,6 +116,116 @@ let test_structure_reuse () =
   let via = Timing.min_period (Timing.analyze ~structure ~library:(fresh ()) nl) in
   Fixtures.check_close ~tol:0. "same result through cached structure" direct via
 
+let test_duplicate_instance_names () =
+  (* Instances are timed by index: two instances sharing a name are both
+     timed, each once. *)
+  let nl = chain 3 in
+  let renamed =
+    {
+      nl with
+      N.instances =
+        Array.mapi
+          (fun i inst -> if i <> 1 then { inst with N.inst_name = "U" } else inst)
+          nl.N.instances;
+    }
+  in
+  let p nl = Timing.min_period (Timing.analyze ~library:(fresh ()) nl) in
+  Alcotest.(check (float 0.)) "same period as with unique names" (p nl) (p renamed)
+
+let same_timing msg ~(expected : Timing.analysis) (actual : Timing.analysis) =
+  let nl = Timing.netlist expected in
+  Alcotest.(check bool) (msg ^ ": netlist") true (Timing.netlist actual = nl);
+  for net = 0 to nl.N.n_nets - 1 do
+    Alcotest.(check (float 0.)) (msg ^ ": load") (Timing.load_on expected net)
+      (Timing.load_on actual net);
+    List.iter
+      (fun dir ->
+        List.iter
+          (fun f ->
+            Alcotest.(check (float 0.)) msg (f expected net dir) (f actual net dir))
+          [ Timing.arrival; Timing.min_arrival; Timing.slew_at ];
+        Alcotest.(check bool) (msg ^ ": provenance") true
+          (Timing.provenance expected net dir = Timing.provenance actual net dir))
+      [ Library.Rise; Library.Fall ]
+  done;
+  Alcotest.(check bool) (msg ^ ": endpoints") true
+    (Timing.endpoints expected = Timing.endpoints actual)
+
+(* Input -> 4 inverters -> flip-flop -> 3 inverters -> output. *)
+let registered_chain () =
+  let b = Builder.create "regchain" in
+  ignore (Builder.clock b "clk");
+  let invs n from =
+    let rec go prev i =
+      if i = 0 then prev
+      else
+        match Builder.cell b "INV_X1" ~inputs:[ ("A", prev) ] with
+        | [ y ] -> go y (i - 1)
+        | _ -> Alcotest.fail "arity"
+    in
+    go from n
+  in
+  let d = invs 4 (Builder.input b "a") in
+  match Builder.cell b "DFF_X1" ~inputs:[ ("D", d) ] with
+  | [ q ] ->
+    Builder.output b "y" (invs 3 q);
+    Builder.finish b
+  | _ -> Alcotest.fail "arity"
+
+let test_incremental_swaps () =
+  let lib = fresh () in
+  let nl = registered_chain () in
+  let counter name =
+    Option.value ~default:0. (Aging_obs.Metrics.value_by_name name)
+  in
+  let analyses = counter "sta.analyses" and updates = counter "sta.updates" in
+  let timer = Timing.Incremental.create ~library:lib nl in
+  let view = Timing.Incremental.analysis timer in
+  let original = Timing.analyze ~library:lib nl in
+  let other_variant (s : Paths.step) =
+    let base = (N.catalog_cell s.Paths.inst).Aging_cells.Cell.base in
+    List.find_opt
+      (fun (e : Library.entry) ->
+        e.Library.cell.Aging_cells.Cell.base = base
+        && e.Library.indexed_name <> s.Paths.inst.N.cell_name)
+      (Library.entries lib)
+  in
+  (* Re-bind the first and last critical-path stages that have a variant. *)
+  let stages =
+    List.filter_map
+      (fun s -> Option.map (fun e -> (s, e.Library.indexed_name)) (other_variant s))
+      (Paths.critical view).Paths.steps
+  in
+  let first = List.hd stages and last = List.hd (List.rev stages) in
+  let swapped = ref nl in
+  let swap ((s : Paths.step), cell) =
+    Timing.Incremental.swap timer ~inst:s.Paths.index ~cell;
+    swapped :=
+      {
+        !swapped with
+        N.instances =
+          Array.mapi
+            (fun i inst ->
+              if i = s.Paths.index then { inst with N.cell_name = cell } else inst)
+            !swapped.N.instances;
+      };
+    same_timing "after swap" ~expected:(Timing.analyze ~library:lib !swapped) view
+  in
+  swap first;
+  Timing.Incremental.commit timer;
+  let committed = Timing.analyze ~library:lib !swapped in
+  swap last;
+  Alcotest.(check bool) "the swap moved the period" true
+    (Timing.min_period view <> Timing.min_period committed);
+  Timing.Incremental.rollback timer;
+  same_timing "after rollback to the commit" ~expected:committed view;
+  Alcotest.(check bool) "first swap kept" true
+    (Timing.min_period view <> Timing.min_period original);
+  Alcotest.(check (float 0.)) "one full pass for the timer plus the references" 5.
+    (counter "sta.analyses" -. analyses);
+  Alcotest.(check (float 0.)) "two swaps and a rollback" 3.
+    (counter "sta.updates" -. updates)
+
 let test_missing_cell_fails () =
   let nl = chain 2 in
   let tiny =
@@ -194,6 +304,8 @@ let suite =
     ("paths: aged retime larger", `Quick, test_retime_aged_larger);
     ("sta: sequential endpoints", `Quick, test_sequential_endpoints);
     ("sta: structure cache", `Quick, test_structure_reuse);
+    ("sta: duplicate instance names", `Quick, test_duplicate_instance_names);
+    ("sta: incremental swaps and rollback", `Quick, test_incremental_swaps);
     ("sta: missing cell", `Quick, test_missing_cell_fails);
     ("sta: reports", `Quick, test_report_strings);
     ("sta: provenance of sources", `Quick, test_provenance_sources);

@@ -136,6 +136,36 @@ let test_slew_repair () =
   Alcotest.(check bool) "not worse" true (after <= before +. 1e-13);
   Alcotest.(check bool) "equivalent" true (Fixtures.equivalent design repaired)
 
+let test_slew_repair_unique_names () =
+  (* A netlist that already holds an SRBUF1 (as a repaired netlist does):
+     an XOR2 (no stronger variant in the library) driving twelve loads off
+     the critical path must get a buffer with a fresh name. *)
+  let b = N.Builder.create "srbuf" in
+  let inv ?name a =
+    match N.Builder.cell b ?name "INV_X1" ~inputs:[ ("A", a) ] with
+    | [ y ] -> y
+    | _ -> Alcotest.fail "arity"
+  in
+  let a = N.Builder.input b "a" and c = N.Builder.input b "c" in
+  let x =
+    match N.Builder.cell b "XOR2_X1" ~inputs:[ ("A", a); ("B", c) ] with
+    | [ y ] -> y
+    | _ -> Alcotest.fail "arity"
+  in
+  List.iter
+    (fun i -> N.Builder.output b (Printf.sprintf "o%d" i) (inv x))
+    (List.init 12 Fun.id);
+  let rec chain prev i = if i = 0 then prev else chain (inv prev) (i - 1) in
+  N.Builder.output b "z" (chain (inv ~name:"SRBUF1" c) 16);
+  let design = N.Builder.finish b in
+  let repaired = Slew_repair.repair ~slew_limit:1e-12 ~library:(fresh ()) design in
+  let names = Array.to_list (Array.map (fun i -> i.N.inst_name) repaired.N.instances) in
+  Alcotest.(check bool) "a buffer was inserted" true
+    (Array.exists (fun i -> i.N.cell_name = "BUF_X4") repaired.N.instances);
+  Alcotest.(check int) "instance names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check bool) "equivalent" true (Fixtures.equivalent design repaired)
+
 let quick_options =
   { Flow.default_options with Flow.sizing_passes = 2; map_rounds = 1 }
 
@@ -200,6 +230,7 @@ let suite =
     ("sizing: never worse, equivalent", `Quick, test_sizing_improves);
     ("sizing: variant sweep", `Quick, test_variant_sweep);
     ("slew repair: never worse", `Quick, test_slew_repair);
+    ("slew repair: fresh buffer names", `Quick, test_slew_repair_unique_names);
     ("flow: counter compile", `Quick, test_flow_compile_counter);
     ("flow: ports preserved", `Quick, test_flow_ports_preserved);
     ("flow: aged mapping competitive", `Quick, test_aged_mapping_not_slower_aged);
