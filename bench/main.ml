@@ -273,7 +273,7 @@ let serve_bench () =
    multi-stage FA/DFF/XOR, whose hundreds-of-ps tables sit far above the
    simulator's noise floor (single-stage cells are honestly refused by the
    serve gate at percent tolerances and would show a speedup of 1).  One
-   full-fidelity training pass primes the cross-corner pool; the scenario
+   full-fidelity training pass builds the anchor corners; the scenario
    then builds a held-out corner twice — surrogate vs full sweep — and
    gates on both axes of the trade:
 
@@ -310,7 +310,7 @@ let surrogate_bench () =
   let tol = 0.02 in
   let deglib =
     Deglib.create ~cells ~axes
-      ~surrogate:(Characterize.surrogate ~tol ~sample:24 ())
+      ~surrogate:(Aging_liberty.Surrogate.config ~tol ~sample:24 ())
       ()
   in
   let t0 = Span.elapsed () in

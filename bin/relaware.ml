@@ -285,10 +285,11 @@ let characterize_cmd =
          & info [ "surrogate" ]
              ~doc:"Characterize through the learned surrogate: simulate a \
                    sparse deterministic subsample of each (slew, load) \
-                   grid, fit per-arc ridge models against the cross-corner \
-                   anchor pool, and serve every grid point whose predicted \
-                   confidence interval stays within the tolerance; \
-                   lower-confidence points are re-simulated.")
+                   grid, fit per-arc ridge models of the ratio to five \
+                   fully characterized anchor corners, and serve every \
+                   grid point whose predicted confidence interval stays \
+                   within the tolerance; lower-confidence points are \
+                   re-simulated.")
   in
   let surrogate_tol_arg =
     Arg.(value & opt float 2.0
@@ -320,7 +321,7 @@ let characterize_cmd =
     let surrogate =
       if surrogate then
         Some
-          (Characterize.surrogate ~tol:(surrogate_tol /. 100.)
+          (Aging_liberty.Surrogate.config ~tol:(surrogate_tol /. 100.)
              ~sample:surrogate_sample ())
       else None
     in
@@ -1690,14 +1691,19 @@ let soak_cmd =
     Option.iter (Run_ledger.note_qor "soak.p95_ms") report.Serve.Soak.lat_p95_ms;
     Run_ledger.note "soak.server_alive"
       (Obs.Json.Bool report.Serve.Soak.server_alive);
-    (* The server's own runtime story (peak RSS, GC work) and the health
-       verdict ride the same record, so drift gates cover them too. *)
+    (* The server's own runtime story and the health verdict ride the same
+       record.  Peak RSS is gated; the daemon's GC readings are notes only:
+       they depend on when the collector happens to run (the major count
+       is often 0, so any move breaches a relative tolerance). *)
     Option.iter (Run_ledger.note_qor "soak.srv_hwm_mb")
       report.Serve.Soak.srv_hwm_mb;
-    Option.iter (Run_ledger.note_qor "soak.srv_minor_words")
-      report.Serve.Soak.srv_minor_words;
-    Option.iter (Run_ledger.note_qor "soak.srv_major_collections")
-      report.Serve.Soak.srv_major_collections;
+    List.iter
+      (fun (name, v) ->
+        Option.iter (fun v -> Run_ledger.note name (Obs.Json.Float v)) v)
+      [
+        ("soak.srv_minor_words", report.Serve.Soak.srv_minor_words);
+        ("soak.srv_major_collections", report.Serve.Soak.srv_major_collections);
+      ];
     Option.iter
       (fun (h : Serve.Dash.health) ->
         Run_ledger.note "soak.health_status" (Obs.Json.String h.Serve.Dash.status);

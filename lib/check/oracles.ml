@@ -731,8 +731,8 @@ let sur_case_gen =
   { su_lp; su_ln }
 
 (* One shared surrogate manager: the five anchor corners are characterized
-   and harvested into the frozen training pool once per process, and every
-   case then builds a fresh random corner against that pool. *)
+   once per process, and every case then builds a fresh random corner
+   against them. *)
 let sur_tol = 0.02
 let sur_cells = [ "NAND2_X1"; "DFF_X1"; "XOR2_X1" ]
 
@@ -757,7 +757,7 @@ let sur_deglib =
     (Degradation_library.create
        ~cells:(List.map Catalog.find_exn sur_cells)
        ~axes:sur_axes
-       ~surrogate:(Characterize.surrogate ~tol:sur_tol ())
+       ~surrogate:(Aging_liberty.Surrogate.config ~tol:sur_tol ())
        ())
 
 (* The differential contract of a surrogate build against a full

@@ -11,7 +11,7 @@ module Span = Aging_obs.Span
 module Log = Aging_obs.Log
 module Pool = Aging_util.Pool
 module Lru = Aging_util.Lru
-module Trainset = Aging_fit.Trainset
+module Surrogate = Aging_liberty.Surrogate
 
 let m_memo_hit = Metrics.counter "cache.memo_hit"
 let m_memo_miss = Metrics.counter "cache.memo_miss"
@@ -41,18 +41,12 @@ type t = {
   lock : Mutex.t;
       (* guards [memo] and [reports]: [complete] builds corners on
          concurrent domains that all land their results here *)
-  surrogate : Characterize.surrogate option;
-      (* surrogate configuration (without a pool — the pool below is
-         attached once the anchors are in) *)
-  pool : Trainset.t;
-      (* cross-corner training rows, harvested from the {e table values}
-         of a fixed set of fully simulated anchor corners and then frozen.
-         Harvesting from tables rather than raw measurements makes the
-         pool identical whether an anchor was built now or loaded from the
-         disk cache — and therefore deterministic. *)
-  pool_lock : Mutex.t;
-      (* serializes anchor building + freezing; never held while [lock]
-         waits on it (the nested order is pool_lock -> lock only) *)
+  surrogate : Surrogate.config option;
+  mutable anchored : Surrogate.t option;
+      (* [surrogate] bound to the anchor libraries, once they are in *)
+  anchor_lock : Mutex.t;
+      (* serializes building the anchors; never held while [lock] waits
+         on it (the nested order is anchor_lock -> lock only) *)
 }
 
 let rec backend_tag = function
@@ -113,10 +107,8 @@ let create ?(backend = Characterize.default_backend) ?cells ?(axes = Axes.paper)
   in
   { backend; cells; axes; years; cache_dir; jobs = max 1 jobs;
     memo = Lru.create ~cap:memo_cap; fingerprint; reports = ref [];
-    lock = Mutex.create ();
-    surrogate = Option.map (fun s -> { s with Characterize.sur_pool = None })
-        surrogate;
-    pool = Trainset.create (); pool_lock = Mutex.create () }
+    lock = Mutex.create (); surrogate; anchored = None;
+    anchor_lock = Mutex.create () }
 
 let axes t = t.axes
 let years t = t.years
@@ -232,11 +224,10 @@ let build_with_report t ?indexed ?surrogate ~name ~scenario () =
 
 let build_reports t = Mutex.protect t.lock (fun () -> !(t.reports))
 
-(* Anchor corners of the cross-corner training pool: the four duty-cycle
-   extremes plus the balanced center.  Fixed — never derived from the
-   corners actually requested — so the pool (and through it every
-   surrogate-built library) is a function of the deglib configuration
-   alone, not of query order. *)
+(* Anchor corners of the surrogate: the four duty-cycle extremes plus the
+   balanced center.  Fixed — never derived from the corners actually
+   requested — so every surrogate-built library is a function of the
+   deglib configuration alone, not of query order. *)
 let anchor_corners =
   [
     Scenario.fresh;
@@ -246,113 +237,53 @@ let anchor_corners =
     Scenario.worst_case;
   ]
 
-(* Harvests one fully simulated anchor library into the training pool:
-   every (slew, load) table value of every arc becomes one row under the
-   same (cell, arc, dir, metric) key and with exactly the features
-   {!Characterize.surrogate_grid} will fit on. *)
-let harvest_anchor t c lib =
-  let scenario = Scenario.scenario ~years:t.years c in
-  let corner_feats = Characterize.corner_features scenario in
-  List.iter
-    (fun (e : Library.entry) ->
-      let cell = e.Library.cell.Cell.name in
-      List.iter
-        (fun (a : Library.arc) ->
-          let add dir metric (tbl : Nldm.table) =
-            let key =
-              Characterize.pool_key ~cell ~from_pin:a.Library.from_pin
-                ~to_pin:a.Library.to_pin ~dir ~metric
-            in
-            Array.iteri
-              (fun i row ->
-                Array.iteri
-                  (fun j v ->
-                    Trainset.add t.pool ~key
-                      ~features:
-                        (Characterize.point_features ~corner_feats
-                           ~slew:tbl.Nldm.slews.(i) ~load:tbl.Nldm.loads.(j))
-                      ~target:v)
-                  row)
-              tbl.Nldm.values
-          in
-          add Library.Rise "delay" a.Library.delay_rise;
-          add Library.Fall "delay" a.Library.delay_fall;
-          add Library.Rise "slew" a.Library.slew_rise;
-          add Library.Fall "slew" a.Library.slew_fall)
-        e.Library.arcs)
-    (Library.entries lib)
+(* Builds (or loads) the anchor libraries and binds the surrogate config
+   to them, once.  Anchor builds are plain full-simulation corner builds
+   under the plain cache key, so they are shared with non-surrogate runs
+   of the same deglib configuration, and a loaded anchor is the same
+   table as a built one. *)
+let anchored t cfg =
+  Mutex.protect t.anchor_lock (fun () ->
+      match t.anchored with
+      | Some s -> s
+      | None ->
+        let anchors =
+          List.map
+            (fun c ->
+              let scenario = Scenario.scenario ~years:t.years c in
+              let name = key t ~mode:Degradation.Full ~indexed:false c in
+              (scenario, cached t name (build_with_report t ~name ~scenario)))
+            anchor_corners
+        in
+        let s = Surrogate.create cfg ~anchors in
+        Log.infof "core.surrogate" "surrogate anchored on %d corners (digest %s)"
+          (List.length anchors) (Surrogate.digest s);
+        t.anchored <- Some s;
+        s)
 
-(* Builds (or loads) the anchor libraries, harvests them, freezes the
-   pool, and returns the surrogate config with the pool attached.  Anchor
-   builds are plain full-simulation corner builds under the plain cache
-   key, so they are shared with non-surrogate runs of the same deglib
-   configuration. *)
-let ensure_pool t s =
-  Mutex.protect t.pool_lock (fun () ->
-      if not (Trainset.is_frozen t.pool) then begin
-        List.iter
-          (fun c ->
-            let name = key t ~mode:Degradation.Full ~indexed:false c in
-            let lib =
-              cached t name (fun () ->
-                  build_with_report t ~name
-                    ~scenario:(Scenario.scenario ~years:t.years c)
-                    ())
-            in
-            harvest_anchor t c lib)
-          anchor_corners;
-        Trainset.freeze t.pool;
-        Log.infof "core.surrogate"
-          "training pool frozen: %d rows from %d anchor corners (digest %s)"
-          (Trainset.size t.pool)
-          (List.length anchor_corners)
-          (Trainset.digest t.pool)
-      end);
-  { s with Characterize.sur_pool = Some t.pool }
-
-(* Cache-key suffix of a surrogate-built corner: the surrogate knobs plus
-   the frozen pool digest, so surrogate libraries never alias full builds
-   or builds under different tolerances. *)
-let surrogate_suffix s =
-  let pool_digest =
-    match s.Characterize.sur_pool with
-    | None -> "-"
-    | Some p -> Trainset.digest p
-  in
-  let tag =
-    Printf.sprintf "tol=%h;sample=%d;lambda=%h;conf=%h;pool=%s"
-      s.Characterize.sur_tol s.Characterize.sur_sample
-      s.Characterize.sur_lambda s.Characterize.sur_conf pool_digest
-  in
-  "_s" ^ String.sub (Digest.to_hex (Digest.string tag)) 0 12
+(* Builds [scenario]'s library under cache name [name]; a surrogate build
+   appends the anchored surrogate's digest so it never aliases a full
+   build, a build under another tolerance, or one against other
+   anchors. *)
+let build_corner t ?indexed ~name ~scenario () =
+  match t.surrogate with
+  | None -> cached t name (build_with_report t ?indexed ~name ~scenario)
+  | Some cfg ->
+    let surrogate = anchored t cfg in
+    let name = name ^ "_s" ^ String.sub (Surrogate.digest surrogate) 0 12 in
+    cached t name (build_with_report t ?indexed ~surrogate ~name ~scenario)
 
 let corner ?(mode = Degradation.Full) t c =
-  match t.surrogate with
-  | None ->
-    let name = key t ~mode ~indexed:false c in
-    cached t name (fun () ->
-        let scenario = Scenario.scenario ~years:t.years ~mode c in
-        build_with_report t ~name ~scenario ())
-  | Some s ->
-    let s = ensure_pool t s in
-    let name = key t ~mode ~indexed:false c ^ surrogate_suffix s in
-    cached t name (fun () ->
-        let scenario = Scenario.scenario ~years:t.years ~mode c in
-        build_with_report t ~surrogate:s ~name ~scenario ())
+  build_corner t
+    ~name:(key t ~mode ~indexed:false c)
+    ~scenario:(Scenario.scenario ~years:t.years ~mode c)
+    ()
 
 let indexed_corner t c =
-  match t.surrogate with
-  | None ->
-    let name = key t ~mode:Degradation.Full ~indexed:true c in
-    cached t name (fun () ->
-        let scenario = Scenario.scenario ~years:t.years c in
-        build_with_report t ~indexed:true ~name ~scenario ())
-  | Some s ->
-    let s = ensure_pool t s in
-    let name = key t ~mode:Degradation.Full ~indexed:true c ^ surrogate_suffix s in
-    cached t name (fun () ->
-        let scenario = Scenario.scenario ~years:t.years c in
-        build_with_report t ~indexed:true ~surrogate:s ~name ~scenario ())
+  build_corner t ~indexed:true
+    ~name:(key t ~mode:Degradation.Full ~indexed:true c)
+    ~scenario:(Scenario.scenario ~years:t.years c)
+    ()
 
 let fresh t = corner t Scenario.fresh
 let worst_case ?mode t = corner ?mode t Scenario.worst_case

@@ -16,7 +16,7 @@ val create :
   ?cache_dir:string ->
   ?jobs:int ->
   ?memo_cap:int ->
-  ?surrogate:Aging_liberty.Characterize.surrogate ->
+  ?surrogate:Aging_liberty.Surrogate.config ->
   unit ->
   t
 (** Defaults: transient backend, full catalog, the paper's 7x7 axes,
@@ -35,19 +35,15 @@ val create :
     [cache.memo_evict].
 
     [surrogate] switches every corner build into
-    {!Aging_liberty.Characterize} surrogate mode, with per-model training
-    pooled across corners: the first surrogate build fully characterizes a
-    fixed set of five anchor corners (the duty-cycle extremes and the
-    balanced center), harvests their table values into a frozen
-    cross-corner training pool — one bucket per (cell, arc, direction,
-    metric) — and every requested corner then fits against that pool plus
-    a handful of local seed simulations, so a model is effectively fit
-    once per cell family and reused across nearby (lambda_p, lambda_n)
-    corners.  The pool is a function of the deglib configuration only
-    (never of query order), and surrogate-built libraries are cached under
-    keys extended with the surrogate knobs and the pool digest, so they
-    can never alias full builds.  Any [sur_pool] already present in the
-    passed config is ignored and replaced by the anchor pool.
+    {!Aging_liberty.Surrogate} mode.  The first surrogate build fully
+    characterizes five fixed anchor corners (the duty-cycle extremes and
+    the balanced center) under the plain cache keys; every requested
+    corner is then built from a handful of seed simulations per grid plus
+    ratio fits against the anchor tables.  The anchors are a function of
+    the deglib configuration only (never of query order), and
+    surrogate-built libraries are cached under keys extended with the
+    anchored surrogate's {!Aging_liberty.Surrogate.digest}, so they never
+    alias full builds.
     @raise Invalid_argument if [memo_cap < 1]. *)
 
 val axes : t -> Aging_liberty.Axes.t

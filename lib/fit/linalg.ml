@@ -63,13 +63,3 @@ let lu_solve a piv n b =
     done;
     b.(i) <- b.(i) /. a.(row + i)
   done
-
-let solve a n b =
-  let a = Array.copy a in
-  let b = Array.copy b in
-  let piv = Array.make n 0 in
-  if lu_factor a piv n then begin
-    lu_solve a piv n b;
-    Some b
-  end
-  else None

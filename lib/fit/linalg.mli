@@ -19,7 +19,3 @@ val lu_factor : float array -> int array -> int -> bool
 val lu_solve : float array -> int array -> int -> float array -> unit
 (** [lu_solve a piv n b] solves one right-hand side in place using a
     factorization produced by {!lu_factor}. *)
-
-val solve : float array -> int -> float array -> float array option
-(** [solve a n b] is a convenience one-shot solve of [a x = b] that copies
-    both inputs; [None] when the matrix is singular. *)

@@ -1,65 +1,34 @@
-type basis =
-  | Poly of int
-  | Tensor of int array
-  | Rbf of { degree : int; centers : int; width : float }
-  | Terms of int array array
-
 type error =
   | Too_few_rows of { rows : int; params : int }
-  | Degenerate_column of int
   | Singular
   | Non_finite of { row : int }
 
 let error_to_string = function
   | Too_few_rows { rows; params } ->
     Printf.sprintf "too few training rows (%d) for %d parameters" rows params
-  | Degenerate_column j ->
-    Printf.sprintf "feature column %d has zero variance" j
   | Singular -> "normal matrix is singular"
   | Non_finite { row } ->
-    Printf.sprintf "non-finite feature or target in row %d" row
+    Printf.sprintf "non-finite feature or non-positive target in row %d" row
 
 exception Err of error
 
 type model = {
   dims : int;
   mean : float array;
-  scale : float array;  (* 0. marks a dropped constant column *)
+  scale : float array;  (* 0. marks a pinned constant column *)
   exps : int array array;
-  centers : float array array;  (* normalized-space RBF centers *)
-  width : float;
   beta : float array;
   a_lu : float array;  (* factored (Phi'Phi + lambda R), m x m *)
   a_piv : int array;
   m : int;
-  n : int;
   sigma : float;
   loo : float array;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Basis enumeration                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sum_list = List.fold_left ( + ) 0
-
-(* All exponent lists over [dims] dimensions with total degree <= limit,
-   graded-lexicographic so the intercept (all zeros) comes first. *)
-let poly_exponents dims limit =
-  let rec go dims limit =
-    if dims = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun d ->
-          List.map (fun rest -> d :: rest) (go (dims - 1) (limit - d)))
-        (List.init (limit + 1) Fun.id)
-  in
-  List.stable_sort
-    (fun a b -> compare (sum_list a, a) (sum_list b, b))
-    (go dims limit)
-
-(* Full tensor product with per-dimension caps, intercept first. *)
+(* Full tensor product with per-dimension caps, graded-lexicographic so
+   the intercept (all zeros) comes first. *)
 let tensor_exponents degrees =
+  let sum = List.fold_left ( + ) 0 in
   let rec go = function
     | [] -> [ [] ]
     | d :: rest ->
@@ -69,12 +38,9 @@ let tensor_exponents degrees =
         (List.init (d + 1) Fun.id)
   in
   List.stable_sort
-    (fun a b -> compare (sum_list a, a) (sum_list b, b))
+    (fun a b -> compare (sum a, a) (sum b, b))
     (go (Array.to_list degrees))
-
-(* ------------------------------------------------------------------ *)
-(* Feature normalization and basis evaluation                          *)
-(* ------------------------------------------------------------------ *)
+  |> List.map Array.of_list |> Array.of_list
 
 let normalize mean scale x z =
   let dims = Array.length mean in
@@ -82,36 +48,17 @@ let normalize mean scale x z =
     z.(j) <- (if scale.(j) = 0. then 0. else (x.(j) -. mean.(j)) /. scale.(j))
   done
 
-(* phi(z) into [out]: monomials first, then the Gaussian bumps. *)
-let eval_basis ~exps ~centers ~width z out =
-  let np = Array.length exps in
-  for k = 0 to np - 1 do
-    let e = exps.(k) in
-    let v = ref 1. in
-    for j = 0 to Array.length e - 1 do
-      for _ = 1 to e.(j) do
-        v := !v *. z.(j)
-      done
-    done;
-    out.(k) <- !v
-  done;
-  let nc = Array.length centers in
-  if nc > 0 then begin
-    let inv = -1. /. (2. *. width *. width) in
-    for k = 0 to nc - 1 do
-      let c = centers.(k) in
-      let d2 = ref 0. in
-      for j = 0 to Array.length c - 1 do
-        let d = z.(j) -. c.(j) in
-        d2 := !d2 +. (d *. d)
+let eval_basis exps z out =
+  Array.iteri
+    (fun k e ->
+      let v = ref 1. in
+      for j = 0 to Array.length e - 1 do
+        for _ = 1 to e.(j) do
+          v := !v *. z.(j)
+        done
       done;
-      out.(np + k) <- exp (!d2 *. inv)
-    done
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Fitting                                                             *)
-(* ------------------------------------------------------------------ *)
+      out.(k) <- !v)
+    exps
 
 let dot m a off_a b =
   let s = ref 0. in
@@ -120,34 +67,30 @@ let dot m a off_a b =
   done;
   !s
 
-let fit_exn ~lambda ~basis ~drop_constant ~weights ~rows:xs ~targets:ys =
+let fit_exn ~lambda ~degrees ~rows:xs ~targets:ys =
   let n = Array.length xs in
   if n = 0 then raise (Err (Too_few_rows { rows = 0; params = 1 }));
   if Array.length ys <> n then
     invalid_arg "Ridge.fit: rows and targets disagree in length";
-  (match weights with
-  | None -> ()
-  | Some w ->
-    if Array.length w <> n then
-      invalid_arg "Ridge.fit: weights and rows disagree in length";
-    Array.iteri
-      (fun i v ->
-        if not (Float.is_finite v && v > 0.) then
-          raise (Err (Non_finite { row = i })))
-      w);
-  let weight i = match weights with None -> 1. | Some w -> w.(i) in
+  (* Relative error: residual i is weighted by 1 / y_i. *)
+  let weights = Array.map (fun y -> 1. /. y) ys in
+  Array.iteri
+    (fun i w ->
+      if not (Float.is_finite w && w > 0.) then
+        raise (Err (Non_finite { row = i })))
+    weights;
   let dims = Array.length xs.(0) in
+  if Array.length degrees <> dims then
+    invalid_arg "Ridge.fit: degrees arity mismatch";
   Array.iteri
     (fun i r ->
       if Array.length r <> dims then
         invalid_arg "Ridge.fit: rows disagree in dimension";
       Array.iter
-        (fun v -> if not (Float.is_finite v) then raise (Err (Non_finite { row = i })))
+        (fun v ->
+          if not (Float.is_finite v) then raise (Err (Non_finite { row = i })))
         r)
     xs;
-  Array.iteri
-    (fun i y -> if not (Float.is_finite y) then raise (Err (Non_finite { row = i })))
-    ys;
   (* Column statistics. *)
   let mean = Array.make dims 0. and scale = Array.make dims 0. in
   let fn = float_of_int n in
@@ -163,80 +106,24 @@ let fit_exn ~lambda ~basis ~drop_constant ~weights ~rows:xs ~targets:ys =
       v := !v +. (d *. d)
     done;
     let sd = sqrt (!v /. fn) in
-    if sd < 1e-12 *. (Float.abs mean.(j) +. 1.) then
-      if drop_constant then scale.(j) <- 0.
-      else raise (Err (Degenerate_column j))
-    else scale.(j) <- sd
+    scale.(j) <- (if sd < 1e-12 *. (Float.abs mean.(j) +. 1.) then 0. else sd)
   done;
-  (* Normalized design. *)
-  let zs = Array.init n (fun _ -> Array.make dims 0.) in
-  for i = 0 to n - 1 do
-    normalize mean scale xs.(i) zs.(i)
-  done;
-  let exps, centers, width =
-    match basis with
-    | Poly d ->
-      ( Array.of_list (List.map Array.of_list (poly_exponents dims d)),
-        [||],
-        1. )
-    | Tensor degrees ->
-      if Array.length degrees <> dims then
-        invalid_arg "Ridge.fit: Tensor basis arity mismatch";
-      ( Array.of_list (List.map Array.of_list (tensor_exponents degrees)),
-        [||],
-        1. )
-    | Terms terms ->
-      if Array.length terms = 0 then
-        invalid_arg "Ridge.fit: Terms basis is empty";
-      Array.iter
-        (fun t ->
-          if Array.length t <> dims then
-            invalid_arg "Ridge.fit: Terms basis arity mismatch";
-          Array.iter
-            (fun e ->
-              if e < 0 then invalid_arg "Ridge.fit: negative exponent")
-            t)
-        terms;
-      (Array.map Array.copy terms, [||], 1.)
-    | Rbf { degree; centers = c; width } ->
-      let exps =
-        Array.of_list (List.map Array.of_list (poly_exponents dims degree))
-      in
-      let c = max 0 (min c n) in
-      (* Deterministic spread of training rows as centers. *)
-      let centers =
-        Array.init c (fun k ->
-            let i =
-              if c = 1 then 0
-              else
-                int_of_float
-                  (Float.round
-                     (float_of_int k *. float_of_int (n - 1)
-                     /. float_of_int (c - 1)))
-            in
-            Array.copy zs.(i))
-      in
-      (exps, centers, width)
-  in
-  let m = Array.length exps + Array.length centers in
-  if lambda <= 0. && n < m then raise (Err (Too_few_rows { rows = n; params = m }));
-  (* Design matrix Phi (n x m, flat), each row scaled by its weight: the
-     weighted LS solution of the original problem.  With w_i = 1/y_i the
-     residuals (and so sigma, the LOO residuals, and the confidence
-     half-widths) are measured in {e relative} units of the target. *)
+  let exps = tensor_exponents degrees in
+  let m = Array.length exps in
+  if lambda <= 0. && n < m then
+    raise (Err (Too_few_rows { rows = n; params = m }));
+  (* Design matrix Phi (n x m, flat), each row scaled by its weight. *)
   let phi = Array.make (n * m) 0. in
-  let tmp = Array.make m 0. in
+  let z = Array.make dims 0. and tmp = Array.make m 0. in
   for i = 0 to n - 1 do
-    eval_basis ~exps ~centers ~width zs.(i) tmp;
-    let w = weight i in
-    if w <> 1. then
-      for j = 0 to m - 1 do
-        tmp.(j) <- tmp.(j) *. w
-      done;
-    Array.blit tmp 0 phi (i * m) m
+    normalize mean scale xs.(i) z;
+    eval_basis exps z tmp;
+    for j = 0 to m - 1 do
+      phi.((i * m) + j) <- tmp.(j) *. weights.(i)
+    done
   done;
   (* Normal matrix A = Phi'Phi + lambda R; R is the identity with the
-     intercept (the all-zero exponent, always basis index 0) unpenalized. *)
+     intercept (basis index 0) unpenalized. *)
   let a = Array.make (m * m) 0. in
   for i = 0 to n - 1 do
     let row = i * m in
@@ -253,16 +140,9 @@ let fit_exn ~lambda ~basis ~drop_constant ~weights ~rows:xs ~targets:ys =
       a.((j * m) + k) <- a.((k * m) + j)
     done
   done;
-  let intercept =
-    let found = ref (-1) in
-    Array.iteri
-      (fun k e -> if !found < 0 && Array.for_all (( = ) 0) e then found := k)
-      exps;
-    !found
-  in
   if lambda > 0. then
-    for j = 0 to m - 1 do
-      if j <> intercept then a.((j * m) + j) <- a.((j * m) + j) +. lambda
+    for j = 1 to m - 1 do
+      a.((j * m) + j) <- a.((j * m) + j) +. lambda
     done;
   let piv = Array.make m 0 in
   if not (Linalg.lu_factor a piv m) then raise (Err Singular);
@@ -270,7 +150,7 @@ let fit_exn ~lambda ~basis ~drop_constant ~weights ~rows:xs ~targets:ys =
   let rhs = Array.make m 0. in
   for i = 0 to n - 1 do
     let row = i * m in
-    let y = weight i *. ys.(i) in
+    let y = weights.(i) *. ys.(i) in
     for j = 0 to m - 1 do
       rhs.(j) <- rhs.(j) +. (phi.(row + j) *. y)
     done
@@ -289,26 +169,18 @@ let fit_exn ~lambda ~basis ~drop_constant ~weights ~rows:xs ~targets:ys =
     Array.blit phi row u 0 m;
     Linalg.lu_solve a piv m u;
     let h = dot m phi row u in
-    let r = (weight i *. ys.(i)) -. dot m phi row beta in
-    let denom = Float.max (1. -. h) 1e-6 in
-    loo.(i) <- r /. denom
+    let r = (weights.(i) *. ys.(i)) -. dot m phi row beta in
+    loo.(i) <- r /. Float.max (1. -. h) 1e-6
   done;
   let sigma =
     let s = ref 0. in
     Array.iter (fun r -> s := !s +. (r *. r)) loo;
     sqrt (!s /. fn)
   in
-  { dims; mean; scale; exps; centers; width; beta; a_lu = a; a_piv = piv;
-    m; n; sigma; loo }
+  { dims; mean; scale; exps; beta; a_lu = a; a_piv = piv; m; sigma; loo }
 
-let fit ?(lambda = 1e-6) ?(basis = Poly 2) ?(drop_constant = false) ?weights
-    ~rows ~targets () =
-  try Ok (fit_exn ~lambda ~basis ~drop_constant ~weights ~rows ~targets)
-  with Err e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Prediction and confidence                                           *)
-(* ------------------------------------------------------------------ *)
+let fit ?(lambda = 1e-4) ~degrees ~rows ~targets () =
+  try Ok (fit_exn ~lambda ~degrees ~rows ~targets) with Err e -> Error e
 
 let basis_at t x =
   if Array.length x <> t.dims then
@@ -316,74 +188,27 @@ let basis_at t x =
   let z = Array.make t.dims 0. in
   normalize t.mean t.scale x z;
   let out = Array.make t.m 0. in
-  eval_basis ~exps:t.exps ~centers:t.centers ~width:t.width z out;
+  eval_basis t.exps z out;
   out
 
-let predict t x =
-  let p = basis_at t x in
-  dot t.m p 0 t.beta
+let predict t x = dot t.m (basis_at t x) 0 t.beta
 
-let leverage ?(weight = 1.) t x =
-  if not (Float.is_finite weight && weight > 0.) then
-    invalid_arg "Ridge.leverage: weight must be finite and positive";
+let confidence t x =
   let p = basis_at t x in
-  (* The normal matrix holds weighted rows (w_i phi_i); a query only
-     compares against it in the same units, so scale the query basis by
-     its own weight.  With w = 1 this is the plain hat value. *)
-  if weight <> 1. then
+  let y = dot t.m p 0 t.beta in
+  if not (y > 0.) then Float.infinity
+  else begin
+    (* The normal matrix holds weighted rows (phi_i / y_i); the query is
+       compared in the same units, weighted by 1 / prediction.  Unweighted,
+       the leverage of tiny absolute targets would collapse to 0 and the
+       interval would never widen. *)
+    let w = 1. /. y in
     for j = 0 to t.m - 1 do
-      p.(j) <- p.(j) *. weight
+      p.(j) <- p.(j) *. w
     done;
-  let u = Array.copy p in
-  Linalg.lu_solve t.a_lu t.a_piv t.m u;
-  Float.max 0. (dot t.m p 0 u)
+    let u = Array.copy p in
+    Linalg.lu_solve t.a_lu t.a_piv t.m u;
+    t.sigma *. sqrt (1. +. Float.max 0. (dot t.m p 0 u))
+  end
 
-let confidence ?(conf = 2.) ?weight t x =
-  conf *. t.sigma *. sqrt (1. +. leverage ?weight t x)
-
-let predict_ci ?conf ?weight t x = (predict t x, confidence ?conf ?weight t x)
-let sigma t = t.sigma
 let loo_residuals t = Array.copy t.loo
-let params t = t.m
-let rows t = t.n
-
-(* ------------------------------------------------------------------ *)
-(* Ensemble spread                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let ensemble ?(folds = 4) ?lambda ?basis ?drop_constant ?weights ~rows:xs
-    ~targets () =
-  let n = Array.length xs in
-  let folds = max 2 (min folds n) in
-  let rec build k acc =
-    if k < 0 then Ok acc
-    else begin
-      let keep = ref [] in
-      for i = n - 1 downto 0 do
-        if i mod folds <> k then keep := i :: !keep
-      done;
-      let idx = Array.of_list !keep in
-      let sub_rows = Array.map (fun i -> xs.(i)) idx in
-      let sub_ys = Array.map (fun i -> targets.(i)) idx in
-      let sub_ws = Option.map (fun w -> Array.map (fun i -> w.(i)) idx) weights in
-      match
-        fit ?lambda ?basis ?drop_constant ?weights:sub_ws ~rows:sub_rows
-          ~targets:sub_ys ()
-      with
-      | Ok m -> build (k - 1) (m :: acc)
-      | Error e -> Error e
-    end
-  in
-  build (folds - 1) []
-
-let spread models x =
-  match models with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let preds = List.map (fun m -> predict m x) models in
-    let k = float_of_int (List.length preds) in
-    let mean = List.fold_left ( +. ) 0. preds /. k in
-    let var =
-      List.fold_left (fun acc p -> acc +. ((p -. mean) ** 2.)) 0. preds /. k
-    in
-    sqrt var

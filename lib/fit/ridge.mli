@@ -1,61 +1,37 @@
-(** Normalized polynomial/RBF ridge regression with leave-one-out and
-    ensemble-spread confidence estimates.
+(** Relative-error ridge regression over a tensor polynomial basis, with
+    leave-one-out confidence.
 
-    This is the learned-surrogate kernel behind [Characterize]'s
-    [--surrogate] mode: a dependency-free pure-OCaml fit of a small dense
-    linear model over normalized features, solved through the {!Linalg}
-    LU.  The design goals, in order: {b determinism} (a fit is a pure
-    sequential function of the training rows — bit-identical across
-    worker counts and repeated runs), {b typed failure} (degenerate
-    designs surface as {!error}, never as NaN coefficients), and
-    {b honest confidence} (prediction intervals from leave-one-out
-    residuals scaled by leverage, which widen monotonically as a query
-    moves away from the training hull — the property the error-bounded
-    fallback relies on).
+    This is the fitting kernel of {!Aging_liberty.Surrogate}: a
+    dependency-free pure-OCaml fit of a small dense linear model over
+    normalized features, solved through the {!Linalg} LU.  The design
+    goals, in order: {b determinism} (a fit is a pure sequential function
+    of the training rows — bit-identical across worker counts and repeated
+    runs), {b typed failure} (degenerate designs surface as {!error},
+    never as NaN coefficients), and {b honest confidence} (prediction
+    intervals from leave-one-out residuals scaled by leverage, which widen
+    as a query moves away from the training rows — the property the
+    surrogate's serve gate relies on).
 
-    Why ridge rather than plain least squares: characterization feature
-    sets are nearly collinear by construction (log-spaced grid axes,
-    aging features that are all monotone functions of the same stress),
-    so the normal matrix is routinely ill-conditioned and a plain LS
-    solve either fails the pivot floor or amplifies rounding noise into
-    the extrapolation region.  A small ridge penalty [lambda] bounds the
-    condition number without measurably biasing interpolation, and makes
-    under-determined pooled fits (more basis functions than rows from a
-    single corner) well-posed. *)
+    Every fit minimizes {e relative} error: residual [i] is weighted by
+    [1 / targets.(i)], so the leave-one-out residuals and the
+    {!confidence} half-widths are fractions of the predicted value.
+    Targets must therefore be positive.
 
-type basis =
-  | Poly of int
-      (** All monomials of the normalized features with total degree
-          [<= d], graded-lexicographic order (intercept first). *)
-  | Tensor of int array
-      (** Full tensor product with per-dimension maximum degrees; a
-          degree of [0] pins a dimension to the intercept.  Length must
-          equal the feature dimension. *)
-  | Rbf of { degree : int; centers : int; width : float }
-      (** [Poly degree] plus up to [centers] Gaussian bumps of the given
-          [width] (in normalized-feature units), centred on a
-          deterministic spread of training rows. *)
-  | Terms of int array array
-      (** Explicit exponent vectors, one per basis function — the escape
-          hatch for structured sparsity a dense tensor cannot express
-          (e.g. a full grid over two dimensions but only low-order
-          interactions with the rest, which shrinks the parameter count
-          and with it the [O(rows * params^2)] fit cost).  Each vector
-          must have one nonnegative entry per feature dimension;
-          duplicates are accepted but waste a column. *)
+    Why ridge rather than plain least squares: the surrogate's designs are
+    a handful of rows on log-spaced grid axes, so the normal matrix is
+    routinely ill-conditioned; a small penalty bounds the condition number
+    without measurably biasing interpolation. *)
 
 type error =
   | Too_few_rows of { rows : int; params : int }
       (** No rows at all, or an exactly-determined/under-determined
           design with [lambda <= 0]. *)
-  | Degenerate_column of int
-      (** Feature column with zero variance (rank-deficient by
-          construction); only reported when [drop_constant] is false. *)
   | Singular
       (** The (ridge-regularized) normal matrix lost a pivot — e.g. all
           rows duplicated with [lambda = 0]. *)
   | Non_finite of { row : int }
-      (** A NaN/infinite feature or target in the given training row. *)
+      (** A non-finite feature, or a target whose relative weight
+          [1 / y] is not finite and positive, in the given row. *)
 
 val error_to_string : error -> string
 
@@ -63,96 +39,33 @@ type model
 
 val fit :
   ?lambda:float ->
-  ?basis:basis ->
-  ?drop_constant:bool ->
-  ?weights:float array ->
+  degrees:int array ->
   rows:float array array ->
   targets:float array ->
   unit ->
   (model, error) result
-(** Fits [targets.(i) ~ f(rows.(i))].  Features are normalized to zero
-    mean and unit variance over the training rows before basis
-    expansion; [lambda] (default [1e-6]) penalizes every coefficient
-    except the intercept.  [drop_constant] (default [false]) silently
-    neutralizes zero-variance columns (their normalized value is pinned
-    to 0, so they contribute nothing) instead of returning
-    {!Degenerate_column} — the surrogate uses this for corner features
-    that are constant within a single-corner fit.
-
-    [weights] (one strictly positive finite factor per row; a
-    non-positive or non-finite weight reports {!Non_finite}) turns the
-    solve into weighted least squares: residual [i] is scaled by
-    [weights.(i)] before minimization.  With [weights.(i) = 1 /.
-    targets.(i)] on positive targets this minimizes {e relative} error,
-    and [sigma], the LOO residuals and the {!confidence} half-widths all
-    come out in relative units — the form the surrogate's error-bounded
-    acceptance gate wants.
-    @raise Invalid_argument if [targets], [weights] and [rows] disagree
-    in length, rows disagree in dimension, a {!Tensor} or {!Terms} basis
-    has the wrong arity, or a {!Terms} basis is empty or holds a
-    negative exponent. *)
+(** Fits [targets.(i) ~ f(rows.(i))] on the full tensor product of
+    per-feature monomials up to [degrees.(k)] in feature [k].  Features
+    are normalized to zero mean and unit variance over the training rows
+    before basis expansion; a zero-variance feature is pinned to 0, so it
+    contributes nothing.  [lambda] (default [1e-4]) penalizes every
+    coefficient except the intercept.
+    @raise Invalid_argument if [targets] and [rows] disagree in length,
+    rows disagree in dimension, or [degrees] does not have one entry per
+    feature. *)
 
 val predict : model -> float array -> float
 
-val leverage : ?weight:float -> model -> float array -> float
-(** [(w phi(x))' (X'X + lambda R)^-1 (w phi(x))]: the statistical
-    distance of a query from the training design.  Along any ray leaving
-    the data this grows without bound, which is what makes the
-    confidence below widen away from the hull.
-
-    For a {e weighted} fit the design rows are [w_i phi_i], so the query
-    basis must be scaled into the same units: pass [weight] (default
-    [1.], correct for unweighted fits) as the weight the query row would
-    have carried.  With [weights.(i) = 1 /. targets.(i)] fits use
-    [~weight:(1. /. predict m x)].  Leaving [weight] at [1.] against
-    such a fit understates leverage by the squared target scale — for
-    tiny absolute targets it collapses to 0 and the interval never
-    widens off the hull.
-    @raise Invalid_argument if [weight] is non-positive or non-finite. *)
-
-val confidence : ?conf:float -> ?weight:float -> model -> float array -> float
-(** Half-width of the prediction interval at a query point:
-    [conf * sigma_loo * sqrt (1 + leverage)], with [conf] defaulting to
-    2 (roughly a 95% normal interval) and [weight] passed through to
-    {!leverage}. *)
-
-val predict_ci :
-  ?conf:float -> ?weight:float -> model -> float array -> float * float
-(** Prediction and confidence half-width in one call.  [weight] applies
-    to the confidence term only; note it cannot depend on the prediction
-    here — callers of relative-weighted fits should call {!predict} then
-    {!confidence} [~weight:(1. /. p)]. *)
-
-val sigma : model -> float
-(** Root-mean-square leave-one-out residual: an unbiased-ish estimate of
-    out-of-sample error that costs nothing extra — the LOO residual is
-    [r_i / (1 - h_ii)] with [h_ii] the hat-matrix diagonal already
-    computed for {!leverage}. *)
+val confidence : model -> float array -> float
+(** Relative half-width of the prediction interval at a query point:
+    [sigma_loo * sqrt (1 + leverage)], where [sigma_loo] is the
+    root-mean-square relative leave-one-out residual and the leverage is
+    taken with the query weighted by [1 / predict m x], the unit the
+    training rows carry.  Along any ray leaving the data the leverage
+    grows, so the interval widens off the training rows.  Infinite when
+    the prediction is not positive. *)
 
 val loo_residuals : model -> float array
-(** Per-training-row leave-one-out residuals (prediction minus target of
-    a model fitted without that row), in row order. *)
-
-val params : model -> int
-(** Number of basis functions. *)
-
-val rows : model -> int
-(** Number of training rows. *)
-
-val ensemble :
-  ?folds:int ->
-  ?lambda:float ->
-  ?basis:basis ->
-  ?drop_constant:bool ->
-  ?weights:float array ->
-  rows:float array array ->
-  targets:float array ->
-  unit ->
-  (model list, error) result
-(** [folds] (default 4) models, each fitted with every [k]-th row held
-    out — a deterministic jackknife whose prediction spread is a second,
-    model-misfit-sensitive confidence signal. *)
-
-val spread : model list -> float array -> float
-(** Population standard deviation of the ensemble's predictions at a
-    query point; [0.] for an empty or singleton list. *)
+(** Per-training-row relative leave-one-out residuals (target minus the
+    prediction of a model fitted without that row, over the target), in
+    row order. *)

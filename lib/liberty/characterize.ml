@@ -23,28 +23,6 @@ let m_repair_interpolated = Metrics.counter "characterize.repairs.interpolated"
 let m_repair_analytic = Metrics.counter "characterize.repairs.analytic"
 let m_cells = Metrics.counter "characterize.cells"
 
-(* Surrogate-mode accounting.  [fit.points.simulated] counts the seed
-   subsample, [fit.points.predicted] the grid points served by the model,
-   and [fit.points.fallback] the points re-simulated because the model's
-   confidence interval exceeded the tolerance; the three partition every
-   surrogate grid.  The histograms record relative residuals: the model's
-   own leave-one-out estimate, and the true prediction error observed at
-   fallback points (where both the prediction and the simulation exist). *)
-let m_fit_simulated = Metrics.counter "fit.points.simulated"
-let m_fit_predicted = Metrics.counter "fit.points.predicted"
-let m_fit_fallback = Metrics.counter "fit.points.fallback"
-let m_fit_models = Metrics.counter "fit.models"
-let m_fit_degraded = Metrics.counter "fit.models.degraded"
-let m_fit_cert_reused = Metrics.counter "fit.certs.reused"
-
-let residual_bounds =
-  [| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 0.01; 0.03; 0.1; 0.3; 1. |]
-
-let h_fit_loo = Metrics.histogram ~bounds:residual_bounds "fit.residual.loo"
-
-let h_fit_fallback_err =
-  Metrics.histogram ~bounds:residual_bounds "fit.residual.fallback"
-
 (* ------------------------------------------------------------------ *)
 (* Typed per-point errors                                              *)
 (* ------------------------------------------------------------------ *)
@@ -77,94 +55,6 @@ type backend =
 let char_options = { Engine.default_options with Engine.settle_time = 0.8e-9 }
 
 let default_backend = Transient char_options
-
-(* ------------------------------------------------------------------ *)
-(* Surrogate configuration                                             *)
-(* ------------------------------------------------------------------ *)
-
-type surrogate = {
-  sur_tol : float;
-  sur_sample : int;
-  sur_lambda : float;
-  sur_conf : float;
-  sur_pool : Aging_fit.Trainset.t option;
-  sur_certs : (string, float array array) Hashtbl.t;
-      (* Memoized per-anchor certificate grids, keyed by
-         (model, axes, reference corner, held-out corner).  None of those
-         depend on the target corner, so nearby corners served from the
-         same pool reference reuse each other's certificate fits. *)
-  sur_lock : Mutex.t;
-      (* Guards [sur_certs]: one config is shared by every cell fit of a
-         corner build (fanned out over domains) and by parallel nearby
-         corner builds, and a bare Hashtbl is not domain-safe. *)
-}
-
-let surrogate ?(tol = 0.02) ?(sample = 12) ?(lambda = 1e-6) ?(conf = 1.)
-    ?pool () =
-  if sample < 4 then invalid_arg "Characterize.surrogate: sample must be >= 4";
-  if not (Float.is_finite tol) then
-    invalid_arg "Characterize.surrogate: tol must be finite";
-  { sur_tol = tol; sur_sample = sample; sur_lambda = lambda; sur_conf = conf;
-    sur_pool = pool; sur_certs = Hashtbl.create 64;
-    sur_lock = Mutex.create () }
-
-(* Aging features of a corner, measured on reference minimum-width
-   devices: threshold shifts and mobility losses for both polarities.
-   Within a single-corner fit these are constants (and are neutralized by
-   the fit's normalization); across a pooled multi-corner training set
-   they are the features that let one model serve nearby corners. *)
-let corner_features (scenario : Scenario.t) =
-  let p = Scenario.age_device scenario (Device.pmos ~w:Device.w_min) in
-  let n = Scenario.age_device scenario (Device.nmos ~w:Device.w_min) in
-  [|
-    p.Device.delta_vth;
-    n.Device.delta_vth;
-    1. -. p.Device.mu_factor;
-    1. -. n.Device.mu_factor;
-  |]
-
-(* The per-model identity: cell family, arc, direction and output metric
-   are one-hot by construction — each combination gets its own model (and
-   its own pooled-training bucket), which is cheaper and better
-   conditioned than a single model with categorical features. *)
-let pool_key ~cell ~from_pin ~to_pin ~dir ~metric =
-  Printf.sprintf "%s/%s->%s/%s/%s" cell from_pin to_pin
-    (match dir with Library.Rise -> "rise" | Library.Fall -> "fall")
-    metric
-
-(* Model features of one grid point: log input slew (the axis is
-   log-spaced over two decades), raw load in fF (delay is affine in raw
-   load — a switched-RC fact the basis should not have to bend a
-   logarithm back out of), then the corner features. *)
-let point_features ~corner_feats ~slew ~load =
-  Array.append [| log slew; load *. 1e15 |] corner_feats
-
-(* [k] distinct indices spread over [0 .. n-1], endpoints always
-   included. *)
-let spread_indices n k =
-  if k >= n then List.init n Fun.id
-  else if k <= 1 then [ 0 ]
-  else
-    List.sort_uniq compare
-      (List.init k (fun i ->
-           int_of_float
-             (Float.round
-                (float_of_int i *. float_of_int (n - 1)
-                /. float_of_int (k - 1)))))
-
-(* Deterministic seed lattice: about [sample] points as a (slew x load)
-   sub-grid, slew-heavy (the curvature lives in the slew direction), both
-   axes >= 2 so the fit sees every boundary. *)
-let seed_lattice ns nl sample =
-  let sample = max 4 (min sample (ns * nl)) in
-  let rs =
-    let ideal =
-      int_of_float (Float.round (sqrt (float_of_int sample *. 4. /. 3.)))
-    in
-    max 2 (min ns ideal)
-  in
-  let cs = max 2 (min nl (sample / rs)) in
-  (spread_indices ns rs, spread_indices nl cs)
 
 let rail value = if value then Device.vdd else 0.
 
@@ -432,10 +322,7 @@ let repair_to_string = function
   | Interpolated -> "interpolated from neighbour grid points"
   | Analytic_fallback -> "analytic closed-form fallback"
 
-(* Where each grid point of a surrogate build came from: a seed
-   simulation, an accepted model prediction, or a low-confidence fallback
-   re-simulation. *)
-type prov = Seeded | Predicted | Fell_back
+type prov = Surrogate.prov = Seeded | Predicted | Fell_back
 
 type arc_stats = {
   stat_cell : string;
@@ -599,477 +486,14 @@ let report_to_string r =
 (* Grid measurement with graceful degradation                          *)
 (* ------------------------------------------------------------------ *)
 
-module Ridge = Aging_fit.Ridge
-module Trainset = Aging_fit.Trainset
-
-(* Proximity bandwidth, as a fraction of the largest pairwise
-   corner-feature distance between pool corners: the certificate below
-   replays the surrogate scheme only at pool corners whose Gaussian
-   weight in this bandwidth is non-negligible — a certificate earned at a
-   far corner says nothing about conditions the target actually sees. *)
-let proximity_frac = 0.45
-
-(* Pool corners below this Gaussian weight are not worth replaying. *)
-let proximity_cutoff = 1e-4
-
-(* Fit-and-predict path of one surrogate grid.  The seeds have been
-   simulated on a deterministic sub-lattice (warm-start chain preserved);
-   this fits one ridge model per output metric on the seed results plus
-   any pooled anchor rows, then serves each remaining point from the
-   model when its confidence interval is within tolerance and re-simulates
-   it otherwise.
-
-   All fits are weighted by [1 / |target|], so the leave-one-out sigma and
-   the confidence half-widths come out in relative units — directly
-   comparable to [sur_tol].
-
-   A primed pool (see {!Degradation_library}) switches the fit into
-   multi-fidelity ratio mode: the pool's corner nearest the target becomes
-   the {e reference}, the training target becomes the ratio of the
-   target's value to the reference value at the same (slew, load) point,
-   and a prediction is the fitted ratio times the reference value.  Aging
-   scales a timing surface far more smoothly than it shapes it, and the
-   sharp (slew, load) features of a table are corner-independent to first
-   order, so they cancel in the ratio — which is what lets a low-degree
-   bivariate tensor fitted on the target's own seed lattice certify
-   percent-level tolerances that it could never reach on absolute values.
-   On top of the per-point confidence gate, pooled models carry a
-   replayed-anchor certificate: the same (lattice, basis, gate) scheme is
-   re-run at the pool corners nearest the target — fitting their
-   seed-lattice ratios and comparing confidently-served predictions
-   against their full tables, whose truth is known — and a grid point is
-   only served where that replayed error also stayed within tolerance.
-   The certificate is the check that catches scheme-level misfit the
-   confidence interval is blind to, and because it depends only on the
-   (reference, anchor) pair it is memoized and reused across nearby
-   corner builds. *)
-let surrogate_grid s ~corner_feats ~(stats : arc_stats) ~(axes : Axes.t) ~ns
-    ~nl ~delays ~slews_out ~ok ~sim_point =
-  let prov = Array.make_matrix ns nl Fell_back in
-  stats.prov <- Some prov;
-  let key metric =
-    pool_key ~cell:stats.stat_cell ~from_pin:stats.stat_from
-      ~to_pin:stats.stat_to ~dir:stats.stat_dir ~metric
-  in
-  let pooled_rows metric =
-    match s.sur_pool with
-    | None -> []
-    | Some pool -> Trainset.rows pool (key metric)
-  in
-  let pool_delay = pooled_rows "delay" and pool_slew = pooled_rows "slew" in
-  (* Group pool rows by corner: the feature dimensions beyond (slew, load)
-     identify the corner a row was harvested from.  First-seen order keeps
-     everything deterministic; rows whose arity disagrees with the
-     target's features could not join a fit and are dropped. *)
-  let sfx_len = Array.length corner_feats in
-  let corners_of rows =
-    let order = ref [] and tbls = Hashtbl.create 7 in
-    List.iter
-      (fun (r : Trainset.row) ->
-        let f = r.Trainset.tr_features in
-        if Array.length f = 2 + sfx_len && Array.for_all Float.is_finite f
-        then begin
-          let sfx = Array.sub f 2 sfx_len in
-          let tbl =
-            match Hashtbl.find_opt tbls sfx with
-            | Some t -> t
-            | None ->
-              let t = Hashtbl.create 64 in
-              Hashtbl.add tbls sfx t;
-              order := sfx :: !order;
-              t
-          in
-          Hashtbl.replace tbl (f.(0), f.(1)) r.Trainset.tr_target
-        end)
-      rows;
-    Array.of_list
-      (List.rev_map (fun sfx -> (sfx, Hashtbl.find tbls sfx)) !order)
-  in
-  let corners_delay = corners_of pool_delay in
-  let corners_slew = corners_of pool_slew in
-  (* Corner distance lives in the two threshold-shift features; the
-     mobility losses are monotone functions of the same stress and add no
-     geometry. *)
-  let d2 a b =
-    let n = min 2 (min (Array.length a) (Array.length b)) in
-    let acc = ref 0. in
-    for k = 0 to n - 1 do
-      let d = a.(k) -. b.(k) in
-      acc := !acc +. (d *. d)
-    done;
-    !acc
-  in
-  let dmax2 corners =
-    Array.fold_left
-      (fun acc (a, _) ->
-        Array.fold_left (fun acc (b, _) -> Float.max acc (d2 a b)) acc corners)
-      0. corners
-  in
-  (* A primed pool carries whole anchor grids per metric from at least two
-     distinct corners; only then is ratio mode usable (and only then is it
-     worth shrinking the local seed lattice). *)
-  let min_pool = 40 in
-  let pooled_usable pool corners =
-    List.length pool >= min_pool
-    && Array.length corners >= 2
-    && dmax2 corners > 0.
-  in
-  let pooled =
-    pooled_usable pool_delay corners_delay
-    && pooled_usable pool_slew corners_slew
-  in
-  let sample = s.sur_sample in
-  let seed_rows, seed_cols = seed_lattice ns nl sample in
-  let is_seed = Array.make_matrix ns nl false in
-  List.iter
-    (fun i -> List.iter (fun j -> is_seed.(i).(j) <- true) seed_cols)
-    seed_rows;
-  for i = 0 to ns - 1 do
-    for j = 0 to nl - 1 do
-      if is_seed.(i).(j) then begin
-        sim_point i j;
-        prov.(i).(j) <- Seeded;
-        Metrics.incr m_fit_simulated
-      end
-    done
-  done;
-  let feats i j =
-    point_features ~corner_feats ~slew:axes.Axes.slews.(i)
-      ~load:axes.Axes.loads.(j)
-  in
-  let seed_pts =
-    List.concat_map (fun i -> List.map (fun j -> (i, j)) seed_cols) seed_rows
-  in
-  let fit_degraded e =
-    Metrics.incr m_fit_degraded;
-    Log.debugf "characterize" "surrogate fit degraded (%s %s->%s %s): %s"
-      stats.stat_cell stats.stat_from stats.stat_to (dir_label stats.stat_dir)
-      (Ridge.error_to_string e);
-    None
-  in
-  let fit_ok m =
-    Metrics.incr m_fit_models;
-    Array.iter
-      (fun r -> Metrics.observe h_fit_loo (Float.abs r))
-      (Ridge.loo_residuals m)
-  in
-  (* Standalone path: one absolute-valued model per metric on the local
-     seeds alone, with a slew-heavy tensor basis (the curvature lives in
-     the slew direction; delay is nearly affine in load) sized to leave
-     leave-one-out degrees of freedom. *)
-  let local_model sel =
-    let data =
-      List.filter_map
-        (fun (i, j) ->
-          if not ok.(i).(j) then None
-          else
-            let y = sel i j in
-            if Float.is_finite y && y > 0. then Some (feats i j, y) else None)
-        seed_pts
-    in
-    let n = List.length data in
-    if n < 6 then None
-    else begin
-      let degrees =
-        let ds = ref 3 and dl = ref 2 in
-        let budget = n - max 2 (n / 4) in
-        while (!ds + 1) * (!dl + 1) > budget && (!ds > 1 || !dl > 1) do
-          if !dl > 1 then decr dl else decr ds
-        done;
-        Array.append [| !ds; !dl |] (Array.make sfx_len 0)
-      in
-      let rows = Array.of_list (List.map fst data) in
-      let ys = Array.of_list (List.map snd data) in
-      let weights = Array.map (fun y -> 1. /. y) ys in
-      match
-        Ridge.fit ~lambda:s.sur_lambda ~basis:(Ridge.Tensor degrees)
-          ~drop_constant:true ~weights ~rows ~targets:ys ()
-      with
-      | Ok m ->
-        fit_ok m;
-        (* The fit is 1/y-weighted on absolute targets, so leverage must
-           be taken in weighted units (~weight:(1/p)) or it would scale
-           with y^2 ~ 1e-20 and the gate could never see extrapolation. *)
-        let serve i j =
-          let x = feats i j in
-          let p = Ridge.predict m x in
-          if p <= 0. then None
-          else
-            let w =
-              Ridge.confidence ~conf:s.sur_conf ~weight:(1. /. p) m x
-            in
-            if w <= s.sur_tol then Some p else None
-        in
-        let raw i j = Some (Ridge.predict m (feats i j)) in
-        Some (serve, raw)
-      | Error e -> fit_degraded e
-    end
-  in
-  (* Pooled multi-fidelity ratio path (see the module comment above). *)
-  let pooled_model corners pool_key sel =
-    let nc = Array.length corners in
-    let h2 = proximity_frac *. proximity_frac *. dmax2 corners in
-    let ref_idx = ref 0 and best = ref Float.infinity in
-    for c = 0 to nc - 1 do
-      let d = d2 (fst corners.(c)) corner_feats in
-      if d < !best then begin
-        best := d;
-        ref_idx := c
-      end
-    done;
-    let ref_idx = !ref_idx in
-    let ref_tbl = snd corners.(ref_idx) in
-    let ref_at i j =
-      let f = feats i j in
-      match Hashtbl.find_opt ref_tbl (f.(0), f.(1)) with
-      | Some rv when rv > 1e-18 -> Some rv
-      | _ -> None
-    in
-    let feats_at sfx i j =
-      point_features ~corner_feats:sfx ~slew:axes.Axes.slews.(i)
-        ~load:axes.Axes.loads.(j)
-    in
-    (* Ratio of a pool corner's table to the reference at a grid point;
-       the guard drops non-finite values and sign flips near zero. *)
-    let ratio_at tbl i j =
-      match ref_at i j with
-      | None -> None
-      | Some rv -> (
-        let f = feats i j in
-        match Hashtbl.find_opt tbl (f.(0), f.(1)) with
-        | Some v when Float.is_finite v && v /. rv > 1e-12 -> Some (v /. rv)
-        | _ -> None)
-    in
-    (* Ratio fits are tiny: a bivariate tensor over (log slew, load)
-       sized to leave leave-one-out degrees of freedom on the seed
-       lattice.  The corner dimensions are constant within one fit — the
-       normalization neutralizes them — so the model is a 2-D surface and
-       the [O(rows * params^2)] solve costs microseconds; the pooled
-       path's cost is its seed simulations, not its algebra. *)
-    (* Slew-heavy tensor ladder sized to the seed count: the fit must
-       keep its parameter count well under the row count or the
-       leave-one-out residuals (inflated by 1/(1 - h_ii)) turn into
-       noise and the confidence gate rejects everything.  [3;1] is
-       deliberately absent — cubic wiggle in slew with an affine load
-       axis fits the seeds and misses between them. *)
-    let degrees n =
-      let budget = max 4 (n * 3 / 5) in
-      let ds, dl =
-        if 12 <= budget then (3, 2)
-        else if 9 <= budget then (2, 2)
-        else if 6 <= budget then (2, 1)
-        else (1, 1)
-      in
-      Array.append [| ds; dl |] (Array.make sfx_len 0)
-    in
-    let lambda = Float.max s.sur_lambda 1e-4 in
-    let fit_ratio data =
-      let n = List.length data in
-      if n < 4 then Error (Ridge.Too_few_rows { rows = n; params = 4 })
-      else
-        let rows = Array.of_list (List.map fst data) in
-        let ys = Array.of_list (List.map snd data) in
-        let weights = Array.map (fun y -> 1. /. y) ys in
-        Ridge.fit ~lambda ~basis:(Ridge.Tensor (degrees n))
-          ~drop_constant:true ~weights ~rows ~targets:ys ()
-    in
-    (* Replayed-anchor certificate: re-run the whole scheme at pool
-       corner [a], whose full table is known — fit its seed-lattice
-       ratios, then score every grid point.  The certificate is
-       two-sided: a point the replayed gate served records its actual
-       error, and a point it would {e not} have served (wide interval,
-       non-positive prediction, missing value) records infinity — "not
-       measurable here" must read as unsafe, or the exact regions where
-       the model is shaky would sail through a zero certificate.  A
-       failed replay fit certifies nothing (infinite everywhere).  The
-       result depends only on (model, axes, reference, anchor), so it is
-       memoized in the config and shared by every nearby corner build
-       that picks the same reference. *)
-    let cert_of a =
-      let sfx_a, tbl_a = corners.(a) in
-      let cert = Array.make_matrix ns nl 0. in
-      let seeds =
-        List.filter_map
-          (fun (i, j) ->
-            Option.map (fun y -> (feats_at sfx_a i j, y)) (ratio_at tbl_a i j))
-          seed_pts
-      in
-      (match fit_ratio seeds with
-      | Error _ ->
-        Array.iter (fun r -> Array.fill r 0 nl Float.infinity) cert
-      | Ok m ->
-        for i = 0 to ns - 1 do
-          for j = 0 to nl - 1 do
-            if not is_seed.(i).(j) then
-              match ratio_at tbl_a i j with
-              | None -> cert.(i).(j) <- Float.infinity
-              | Some y ->
-                let x = feats_at sfx_a i j in
-                let p = Ridge.predict m x in
-                cert.(i).(j) <-
-                  (if
-                     p > 0.
-                     && Ridge.confidence ~conf:s.sur_conf
-                          ~weight:(1. /. p) m x
-                        <= s.sur_tol
-                   then Float.abs (p -. y) /. y
-                   else Float.infinity)
-          done
-        done);
-      cert
-    in
-    let sfx_tag sfx =
-      String.concat ","
-        (List.map (Printf.sprintf "%.17g") (Array.to_list sfx))
-    in
-    let axes_tag =
-      Printf.sprintf "%dx%d:%.17g,%.17g,%.17g,%.17g" ns nl
-        axes.Axes.slews.(0)
-        axes.Axes.slews.(ns - 1)
-        axes.Axes.loads.(0)
-        axes.Axes.loads.(nl - 1)
-    in
-    let cert_for a =
-      let k =
-        Printf.sprintf "%s|%d|%s|%s|%s" pool_key s.sur_sample axes_tag
-          (sfx_tag (fst corners.(ref_idx)))
-          (sfx_tag (fst corners.(a)))
-      in
-      match
-        Mutex.protect s.sur_lock (fun () -> Hashtbl.find_opt s.sur_certs k)
-      with
-      | Some c ->
-        Metrics.incr m_fit_cert_reused;
-        c
-      | None ->
-        (* Replay outside the lock: it is pure and deterministic, so two
-           domains racing on the same key waste one replay at worst —
-           cheaper than serializing every cell fit behind it. *)
-        let c = cert_of a in
-        Mutex.protect s.sur_lock (fun () ->
-            match Hashtbl.find_opt s.sur_certs k with
-            | Some c' ->
-              Metrics.incr m_fit_cert_reused;
-              c'
-            | None ->
-              Hashtbl.add s.sur_certs k c;
-              c)
-    in
-    (* Only the two pool corners nearest the target are replayed — a far
-       corner certifies conditions the target never sees, at a full
-       replay each. *)
-    let held_out =
-      let ds = ref [] in
-      for a = nc - 1 downto 0 do
-        if a <> ref_idx then begin
-          let d = d2 (fst corners.(a)) corner_feats in
-          if exp (-.d /. (2. *. h2)) > proximity_cutoff then
-            ds := (d, a) :: !ds
-        end
-      done;
-      List.filteri (fun i _ -> i < 2) (List.sort compare !ds)
-    in
-    let cert = Array.make_matrix ns nl 0. in
-    List.iter
-      (fun (_, a) ->
-        let ca = cert_for a in
-        for i = 0 to ns - 1 do
-          for j = 0 to nl - 1 do
-            cert.(i).(j) <- Float.max cert.(i).(j) ca.(i).(j)
-          done
-        done)
-      held_out;
-    (* An unreplayable pool (a single usable anchor besides the
-       reference, or none in range) certifies nothing: serve nothing and
-       let every point fall back to simulation. *)
-    if held_out = [] then
-      Array.iter (fun r -> Array.fill r 0 nl Float.infinity) cert;
-    let target_seeds =
-      List.filter_map
-        (fun (i, j) ->
-          if not ok.(i).(j) then None
-          else
-            match ref_at i j with
-            | None -> None
-            | Some rv ->
-              let y = sel i j /. rv in
-              if Float.is_finite y && y > 1e-12 then Some (feats i j, y)
-              else None)
-        seed_pts
-    in
-    match fit_ratio target_seeds with
-    | Error e -> fit_degraded e
-    | Ok m ->
-      fit_ok m;
-      let serve i j =
-        match ref_at i j with
-        | None -> None
-        | Some rv ->
-          if cert.(i).(j) > s.sur_tol then None
-          else
-            (* Same weighted-leverage gate as the certificate replay
-               above; ratios sit near 1, so the weight mostly matters
-               for consistency between replay and serve. *)
-            let x = feats i j in
-            let p = Ridge.predict m x in
-            if
-              p > 0.
-              && Ridge.confidence ~conf:s.sur_conf ~weight:(1. /. p) m x
-                 <= s.sur_tol
-            then Some (p *. rv)
-            else None
-      in
-      let raw i j =
-        Option.map (fun rv -> Ridge.predict m (feats i j) *. rv) (ref_at i j)
-      in
-      Some (serve, raw)
-  in
-  let metric_model corners metric sel =
-    if pooled then pooled_model corners (key metric) sel else local_model sel
-  in
-  let dm = metric_model corners_delay "delay" (fun i j -> delays.(i).(j)) in
-  let sm = metric_model corners_slew "slew" (fun i j -> slews_out.(i).(j)) in
-  let serve modelopt i j =
-    match modelopt with None -> None | Some (serve, _) -> serve i j
-  in
-  for i = 0 to ns - 1 do
-    for j = 0 to nl - 1 do
-      if not is_seed.(i).(j) then begin
-        match (serve dm i j, serve sm i j) with
-        | Some d, Some sv ->
-          delays.(i).(j) <- d;
-          slews_out.(i).(j) <- sv;
-          ok.(i).(j) <- true;
-          prov.(i).(j) <- Predicted;
-          stats.predicted <- stats.predicted + 1;
-          Metrics.incr m_fit_predicted
-        | _ ->
-          sim_point i j;
-          Metrics.incr m_fit_fallback;
-          if ok.(i).(j) then
-            (* The fallback simulated the truth: record how far off the
-               model would have been — the empirical generalization
-               error the confidence gate caught. *)
-            match dm with
-            | Some (_, raw) -> (
-              match raw i j with
-              | Some pd when delays.(i).(j) > 0. ->
-                Metrics.observe h_fit_fallback_err
-                  (Float.abs (pd -. delays.(i).(j)) /. delays.(i).(j))
-              | _ -> ())
-            | None -> ()
-      end
-    done
-  done
-
 (* Fill one (slews x loads) grid.  Pass 1 measures every point through the
    escalation ladder; pass 2 repairs exhausted points from already-measured
    orthogonal neighbours (mean of the adjacent grid values — failures are
    sparse, so this is a local estimate), degrading to the analytic
    closed-form model when an entire neighbourhood is missing.  The grid is
    always complete on return. *)
-let measure_grid ?surrogate:sur ?(corner_feats = [||]) backend
-    ~(stats : arc_stats) ~(axes : Axes.t) ~base_circuit ~cell ~arc ~dir =
+let measure_grid ?surrogate ~scenario backend ~(stats : arc_stats)
+    ~(axes : Axes.t) ~base_circuit ~cell ~arc ~dir =
   let ns = Array.length axes.Axes.slews and nl = Array.length axes.Axes.loads in
   let delays = Array.make_matrix ns nl 0. in
   let slews_out = Array.make_matrix ns nl 0. in
@@ -1133,28 +557,33 @@ let measure_grid ?surrogate:sur ?(corner_feats = [||]) backend
       holes := (i, j) :: !holes;
       stats.errors <- List.hd errs :: stats.errors
   in
-  (match sur with
+  (match surrogate with
   | None ->
     for i = 0 to ns - 1 do
       for j = 0 to nl - 1 do
         sim_point i j
       done
     done
-  | Some s when s.sur_tol <= 0. ->
-    (* A zero (or negative) tolerance admits no prediction: run the exact
-       sequential sweep of a non-surrogate build — same visit order, same
-       warm-start chain, bit-identical tables — and account every point
-       as a fallback. *)
-    let prov = Array.make_matrix ns nl Fell_back in
+  | Some sur ->
+    let prov =
+      Surrogate.grid sur ~scenario ~cell:stats.stat_cell
+        ~from_pin:stats.stat_from ~to_pin:stats.stat_to ~dir ~axes ~delays
+        ~slews:slews_out
+        ~simulate:(fun i j ->
+          sim_point i j;
+          ok.(i).(j))
+    in
     stats.prov <- Some prov;
-    for i = 0 to ns - 1 do
-      for j = 0 to nl - 1 do
-        sim_point i j;
-        Metrics.incr m_fit_fallback
-      done
-    done
-  | Some s -> surrogate_grid s ~corner_feats ~stats ~axes ~ns ~nl ~delays
-                ~slews_out ~ok ~sim_point);
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j p ->
+            if p = Predicted then begin
+              ok.(i).(j) <- true;
+              stats.predicted <- stats.predicted + 1
+            end)
+          row)
+      prov);
   stats.grid_seconds <- stats.grid_seconds +. (Span.now () -. t_grid);
   List.iter
     (fun (i, j) ->
@@ -1261,11 +690,6 @@ let entry ?(backend = default_backend) ?(indexed = false) ?report ?(jobs = 1)
     ~attrs:[ ("cell", cell.Cell.name); ("corner", corner_tag) ]
   @@ fun () ->
   let report = match report with Some r -> r | None -> report_create () in
-  let corner_feats =
-    match surrogate with
-    | Some _ -> corner_features scenario
-    | None -> [||]
-  in
   (* Shared read-only by every worker; each measurement copies it before
      attaching its own load. *)
   let base_circuit = aged_circuit ~scenario cell in
@@ -1287,7 +711,7 @@ let entry ?(backend = default_backend) ?(indexed = false) ?report ?(jobs = 1)
                 ("dir", dir_label dir);
               ]
             (fun () ->
-              measure_grid ?surrogate ~corner_feats backend ~stats ~axes
+              measure_grid ?surrogate ~scenario backend ~stats ~axes
                 ~base_circuit ~cell ~arc ~dir)
         in
         (stats, tables))

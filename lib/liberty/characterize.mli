@@ -72,101 +72,20 @@ val default_backend : backend
 
 (** {2 Surrogate mode}
 
-    A surrogate build simulates only a sparse deterministic sub-lattice of
-    each (slew x load) grid — reusing the warm-start chain — fits one
-    {!Aging_fit.Ridge} model per (cell, arc, direction, output metric) on
-    the results, and serves every remaining point from the model {e if}
-    its prediction-interval half-width is within [tol] of the predicted
-    value; any lower-confidence point falls back to a real simulation
-    (counted in the [fit.points.fallback] metric).  A non-positive [tol]
-    therefore degenerates to the exact non-surrogate sweep — same visit
-    order, same warm chain, bit-identical tables — with every point
-    accounted as a fallback.
-
-    With a cross-corner [pool] (primed by {!Degradation_library} from
-    full anchor-corner builds) the fit switches to multi-fidelity ratio
-    mode.  The pool corner nearest the target becomes the {e reference};
-    the model is a low-degree bivariate surface over (log slew, load)
-    fitted on the seed lattice's target/reference {e ratios}, and a
-    prediction is the fitted ratio times the reference value.  Aging
-    scales a timing surface far more smoothly than it shapes it — the
-    sharp (slew, load) structure cancels in the ratio — which is what
-    lets a handful of seeds certify percent-level tolerances that no
-    absolute-valued fit could reach.  Serving is gated per point by
-    {e both} the model's prediction interval and a replayed-anchor
-    certificate: the identical (lattice, basis, gate) scheme is re-run at
-    the pool corners nearest the target, its served predictions compared
-    against their full tables (whose truth the pool already holds), and a
-    point is only served where that replayed error also stayed within
-    [tol].  Certificates depend only on the (model, axes, reference,
-    anchor) tuple, so they are memoized in the config and reused across
-    nearby corner builds — the [fit.certs.reused] counter tracks the
-    sharing. *)
-
-type surrogate = {
-  sur_tol : float;      (** relative confidence tolerance, e.g. 0.02 *)
-  sur_sample : int;     (** target seed simulations per grid *)
-  sur_lambda : float;   (** ridge penalty *)
-  sur_conf : float;     (** confidence-interval multiplier *)
-  sur_pool : Aging_fit.Trainset.t option;
-      (** frozen cross-corner training pool (see {!Trainset}) *)
-  sur_certs : (string, float array array) Hashtbl.t;
-      (** memoized replayed-anchor certificate grids, shared across the
-          corner builds that use this config *)
-  sur_lock : Mutex.t;
-      (** guards [sur_certs] against concurrent cell fits and parallel
-          corner builds *)
-}
-
-val surrogate :
-  ?tol:float ->
-  ?sample:int ->
-  ?lambda:float ->
-  ?conf:float ->
-  ?pool:Aging_fit.Trainset.t ->
-  unit ->
-  surrogate
-(** Defaults: [tol = 0.02] (2 %), [sample = 12], [lambda = 1e-6],
-    [conf = 1.], no pool.  [conf] scales the prediction interval the
-    serve gate compares against [tol]; the default is deliberately a
-    ~68 % interval because in pooled mode the replayed-anchor
-    certificate — actual errors of this exact scheme at corners whose
-    truth is known — carries the safety argument, and a wider interval
-    starves the certificate itself (the replay serves fewer points, so
-    more of the grid reads "not measurable: unsafe").  Raise it when
-    running standalone fits whose only gate is the interval.
-    @raise Invalid_argument if [sample < 4] or [tol] is not finite. *)
-
-val corner_features : Aging_physics.Scenario.t -> float array
-(** Aging features of a corner measured on reference minimum-width
-    devices: [[| dVth_p; dVth_n; dmu_p; dmu_n |]] (mobility losses as
-    [1 - mu_factor]).  Constant within one corner; the cross-corner pool
-    is what makes them informative. *)
-
-val pool_key :
-  cell:string ->
-  from_pin:string ->
-  to_pin:string ->
-  dir:Library.direction ->
-  metric:string ->
-  string
-(** Canonical {!Aging_fit.Trainset} key of one per-model training bucket;
-    [metric] is ["delay"] or ["slew"]. *)
-
-val point_features :
-  corner_feats:float array -> slew:float -> load:float -> float array
-(** Model features of one grid point: log slew, load in fF, then the
-    corner features.  Exposed so {!Degradation_library} harvests pool
-    rows with exactly the features the fit will use. *)
+    Passing [surrogate] (a {!Surrogate.t}, built from fully simulated
+    anchor libraries by {!Degradation_library}) hands every (slew x load)
+    grid to {!Surrogate.grid}: a sparse seed lattice is simulated, the
+    remaining points are served by a ratio model against the anchors where
+    it is trusted, and simulated otherwise — in full-sweep order, through
+    the same retry and repair machinery.  Each point's provenance lands in
+    its {!arc_stats}. *)
 
 (** {2 Characterization report} *)
 
 type repair = Interpolated | Analytic_fallback
 
-type prov = Seeded | Predicted | Fell_back
-(** Provenance of one grid point in a surrogate build: simulated as a
-    seed, served by the model, or re-simulated because the model's
-    confidence interval exceeded the tolerance. *)
+type prov = Surrogate.prov = Seeded | Predicted | Fell_back
+(** Provenance of one grid point in a surrogate build. *)
 
 type arc_stats = {
   stat_cell : string;
@@ -231,7 +150,7 @@ val entry :
   ?indexed:bool ->
   ?report:report ->
   ?jobs:int ->
-  ?surrogate:surrogate ->
+  ?surrogate:Surrogate.t ->
   axes:Axes.t ->
   scenario:Aging_physics.Scenario.t ->
   Aging_cells.Cell.t ->
@@ -249,7 +168,7 @@ val library :
   ?indexed:bool ->
   ?report:report ->
   ?jobs:int ->
-  ?surrogate:surrogate ->
+  ?surrogate:Surrogate.t ->
   axes:Axes.t ->
   name:string ->
   scenario:Aging_physics.Scenario.t ->
@@ -267,7 +186,7 @@ val library_report :
   ?cells:Aging_cells.Cell.t list ->
   ?indexed:bool ->
   ?jobs:int ->
-  ?surrogate:surrogate ->
+  ?surrogate:Surrogate.t ->
   axes:Axes.t ->
   name:string ->
   scenario:Aging_physics.Scenario.t ->
@@ -277,7 +196,7 @@ val library_report :
 
 val fresh_library :
   ?backend:backend -> ?cells:Aging_cells.Cell.t list -> ?jobs:int ->
-  ?surrogate:surrogate -> axes:Axes.t -> unit -> Library.t
+  ?surrogate:Surrogate.t -> axes:Axes.t -> unit -> Library.t
 (** Convenience: the degradation-unaware (initial) library — zero-duty
     corner, bare names. *)
 

@@ -5,11 +5,11 @@
    alias sets AGING_JOBS=4 to force the parallel path through every
    fixture-based test.
 
-   The memo is keyed on the full effective build configuration — jobs,
-   cache directory, surrogate flags — not just the fixture name.  Before
-   this, two suites asking for "the" library under different effective
-   configs (say @parallel-smoke's AGING_JOBS=4 and a surrogate test)
-   would silently share whichever build ran first. *)
+   The memo is keyed on the full effective build configuration — jobs
+   and cache directory — not just the fixture name, so two suites asking
+   for "the" library under different effective configs (say
+   @parallel-smoke's AGING_JOBS=4) never share whichever build ran
+   first. *)
 
 module Scenario = Aging_physics.Scenario
 module Axes = Aging_liberty.Axes
@@ -29,21 +29,9 @@ let subset_names =
 
 let subset_cells = lazy (List.map Catalog.find_exn subset_names)
 
-(* One string that pins down every build knob a fixture can vary on. *)
-let surrogate_tag = function
-  | None -> "off"
-  | Some s ->
-    Printf.sprintf "tol=%h,sample=%d,lambda=%h,conf=%h,pool=%s"
-      s.Characterize.sur_tol s.Characterize.sur_sample s.Characterize.sur_lambda
-      s.Characterize.sur_conf
-      (match s.Characterize.sur_pool with
-      | None -> "-"
-      | Some p -> Aging_fit.Trainset.digest p)
-
-let config_key ~kind ~name ~jobs ~cache_dir ~surrogate =
-  Printf.sprintf "%s|%s|jobs=%d|cache=%s|surrogate=%s" kind name jobs
+let config_key ~kind ~name ~jobs ~cache_dir =
+  Printf.sprintf "%s|%s|jobs=%d|cache=%s" kind name jobs
     (Option.value cache_dir ~default:"-")
-    (surrogate_tag surrogate)
 
 let memo_mu = Mutex.create ()
 let library_memo : (string, Aging_liberty.Library.t) Hashtbl.t =
@@ -63,21 +51,19 @@ let memoized memo key build =
         Hashtbl.add memo key v;
         v)
 
-let shared_library ?surrogate ~name ~scenario () =
+let shared_library ~name ~scenario () =
   let jobs = Aging_util.Pool.default_jobs () in
-  let key = config_key ~kind:"library" ~name ~jobs ~cache_dir:None ~surrogate in
+  let key = config_key ~kind:"library" ~name ~jobs ~cache_dir:None in
   memoized library_memo key (fun () ->
-      Characterize.library ~jobs ?surrogate
+      Characterize.library ~jobs
         ~cells:(Lazy.force subset_cells)
         ~axes:Axes.coarse ~name ~scenario ())
 
-let shared_deglib ?surrogate ?cache_dir () =
+let shared_deglib ?cache_dir () =
   let jobs = Aging_util.Pool.default_jobs () in
-  let key =
-    config_key ~kind:"deglib" ~name:"test" ~jobs ~cache_dir ~surrogate
-  in
+  let key = config_key ~kind:"deglib" ~name:"test" ~jobs ~cache_dir in
   memoized deglib_memo key (fun () ->
-      Aging_core.Degradation_library.create ~jobs ?cache_dir ?surrogate
+      Aging_core.Degradation_library.create ~jobs ?cache_dir
         ~cells:(Lazy.force subset_cells)
         ~axes:Axes.coarse ())
 

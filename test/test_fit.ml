@@ -1,11 +1,11 @@
 (* Property and unit tests for the pure-OCaml regression kernel behind
    surrogate characterization: exact recovery of low-degree polynomials,
    determinism (bitwise, and across worker counts), confidence growth
-   away from the training hull, and typed errors on degenerate designs. *)
+   away from the training hull, and typed errors on degenerate designs.
+   Every fit is relative, so every target here is positive. *)
 
 module Ridge = Aging_fit.Ridge
 module Linalg = Aging_fit.Linalg
-module Trainset = Aging_fit.Trainset
 module Pool = Aging_util.Pool
 module Rng = Aging_util.Rng
 
@@ -16,16 +16,19 @@ let training_rows n seed =
   let rng = Rng.create seed in
   Array.init n (fun _ -> [| uniform rng (-1.) 2.; uniform rng 0. 3. |])
 
-let apply_poly coeffs x =
-  (* coeffs for 1, a, b, a^2, ab, b^2 *)
+(* A quadratic in (a, b) from coefficients for 1, a, b, a^2, ab, b^2,
+   shifted by [offset]; on the training box every monomial is below 9 in
+   magnitude, so an offset of 100 keeps coefficients in [-3, 3]
+   positive. *)
+let apply_poly ?(offset = 0.) coeffs x =
   let a = x.(0) and b = x.(1) in
-  coeffs.(0) +. (coeffs.(1) *. a) +. (coeffs.(2) *. b)
+  offset +. coeffs.(0) +. (coeffs.(1) *. a) +. (coeffs.(2) *. b)
   +. (coeffs.(3) *. a *. a)
   +. (coeffs.(4) *. a *. b)
   +. (coeffs.(5) *. b *. b)
 
-let fit_exn ?lambda ?basis ?drop_constant rows targets =
-  match Ridge.fit ?lambda ?basis ?drop_constant ~rows ~targets () with
+let fit_exn ?lambda ~degrees rows targets =
+  match Ridge.fit ?lambda ~degrees ~rows ~targets () with
   | Ok m -> m
   | Error e -> Alcotest.failf "unexpected fit error: %s" (Ridge.error_to_string e)
 
@@ -34,22 +37,31 @@ let fit_exn ?lambda ?basis ?drop_constant rows targets =
 (* ------------------------------------------------------------------ *)
 
 let test_linalg_solve () =
-  (* A known well-conditioned 3x3 system. *)
+  (* A known well-conditioned 3x3 system, factored once and solved for
+     two right-hand sides. *)
   let a = [| 4.; 1.; 0.; 1.; 3.; 1.; 0.; 1.; 2. |] in
-  let x_true = [| 1.; -2.; 3. |] in
-  let b = [| 4. -. 2.; 1. -. 6. +. 3.; -2. +. 6. |] in
-  match Linalg.solve a 3 b with
-  | None -> Alcotest.fail "solve reported singular"
-  | Some x ->
-    Array.iteri
-      (fun i v -> Fixtures.check_close ~tol:1e-12 "solution" x_true.(i) v)
-      x
+  let piv = Array.make 3 0 in
+  Alcotest.(check bool) "factored" true (Linalg.lu_factor a piv 3);
+  List.iter
+    (fun x_true ->
+      let b =
+        [|
+          (4. *. x_true.(0)) +. x_true.(1);
+          x_true.(0) +. (3. *. x_true.(1)) +. x_true.(2);
+          x_true.(1) +. (2. *. x_true.(2));
+        |]
+      in
+      Linalg.lu_solve a piv 3 b;
+      Array.iteri
+        (fun i v -> Fixtures.check_close ~tol:1e-12 "solution" x_true.(i) v)
+        b)
+    [ [| 1.; -2.; 3. |]; [| 0.5; 0.; -1. |] ]
 
 let test_linalg_singular () =
   let a = [| 1.; 2.; 2.; 4. |] in
   Alcotest.(check bool)
-    "singular detected" true
-    (Linalg.solve a 2 [| 1.; 2. |] = None)
+    "singular detected" false
+    (Linalg.lu_factor a (Array.make 2 0) 2)
 
 (* ------------------------------------------------------------------ *)
 (* Exact recovery                                                      *)
@@ -58,103 +70,55 @@ let test_linalg_singular () =
 let test_exact_quadratic () =
   let coeffs = [| 0.7; -1.3; 2.1; 0.4; -0.9; 1.6 |] in
   let rows = training_rows 24 5L in
-  let targets = Array.map (apply_poly coeffs) rows in
-  let m = fit_exn ~lambda:0. ~basis:(Ridge.Poly 2) rows targets in
+  let targets = Array.map (apply_poly ~offset:100. coeffs) rows in
+  let m = fit_exn ~lambda:0. ~degrees:[| 2; 2 |] rows targets in
   let probes = training_rows 10 6L in
   Array.iter
     (fun x ->
-      Fixtures.check_close ~tol:1e-9 "quadratic recovery" (apply_poly coeffs x)
+      Fixtures.check_close ~tol:1e-9 "quadratic recovery"
+        (apply_poly ~offset:100. coeffs x)
         (Ridge.predict m x))
     probes;
   (* Exact model: LOO residuals are numerically zero. *)
-  Alcotest.(check bool) "sigma ~ 0" true (Ridge.sigma m < 1e-9)
+  Array.iter
+    (fun r -> Alcotest.(check bool) "loo ~ 0" true (Float.abs r < 1e-9))
+    (Ridge.loo_residuals m)
 
 let test_exact_tensor () =
-  (* f = (1 + 2a + a^3) * (2 - b): tensor degrees (3, 1). *)
+  (* f = (4 + 2a + a^3) * (4 - b): tensor degrees (3, 1), >= 1 on the
+     training box. *)
   let f x =
     let a = x.(0) and b = x.(1) in
-    (1. +. (2. *. a) +. (a ** 3.)) *. (2. -. b)
+    (4. +. (2. *. a) +. (a ** 3.)) *. (4. -. b)
   in
   let rows = training_rows 30 7L in
   let targets = Array.map f rows in
-  let m = fit_exn ~lambda:0. ~basis:(Ridge.Tensor [| 3; 1 |]) rows targets in
+  let m = fit_exn ~lambda:0. ~degrees:[| 3; 1 |] rows targets in
   Array.iter
     (fun x ->
       Fixtures.check_close ~tol:1e-9 "tensor recovery" (f x) (Ridge.predict m x))
     (training_rows 10 8L)
 
-let test_terms_basis () =
-  (* An explicit exponent list spelling out a tensor basis in the
-     tensor's own column order must produce the same model: identical
-     design matrix, so predictions and confidence agree bitwise. *)
-  let rows = training_rows 30 7L in
-  let f x =
-    let a = x.(0) and b = x.(1) in
-    (1. +. (2. *. a) +. (a ** 3.)) *. (2. -. b)
-  in
-  let targets = Array.map f rows in
-  let tensor = fit_exn ~lambda:0. ~basis:(Ridge.Tensor [| 3; 1 |]) rows targets in
-  (* The tensor's own graded-lexicographic column order. *)
-  let terms =
-    [|
-      [| 0; 0 |]; [| 0; 1 |]; [| 1; 0 |]; [| 1; 1 |];
-      [| 2; 0 |]; [| 2; 1 |]; [| 3; 0 |]; [| 3; 1 |];
-    |]
-  in
-  let explicit = fit_exn ~lambda:0. ~basis:(Ridge.Terms terms) rows targets in
-  Array.iter
-    (fun x ->
-      Alcotest.(check bool) "terms = tensor prediction" true
-        (Ridge.predict explicit x = Ridge.predict tensor x);
-      Alcotest.(check bool) "terms = tensor confidence" true
-        (Ridge.confidence explicit x = Ridge.confidence tensor x))
-    (training_rows 10 8L);
-  (* Structured sparsity — dropping the cross terms — still recovers a
-     function that has none. *)
-  let g x = 1. +. (0.5 *. (x.(0) ** 2.)) -. (1.5 *. x.(1)) in
-  let sparse =
-    fit_exn ~lambda:0.
-      ~basis:(Ridge.Terms [| [| 0; 0 |]; [| 1; 0 |]; [| 2; 0 |]; [| 0; 1 |] |])
-      rows (Array.map g rows)
-  in
-  Array.iter
-    (fun x ->
-      Fixtures.check_close ~tol:1e-9 "sparse recovery" (g x)
-        (Ridge.predict sparse x))
-    (training_rows 10 9L);
-  (* Validation: empty list, arity mismatch, negative exponent. *)
-  let fit_with basis =
-    Ridge.fit ~basis ~rows ~targets ()
-  in
-  List.iter
-    (fun (name, basis) ->
-      Alcotest.(check bool) name true
-        (match fit_with basis with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-    [
-      ("empty Terms rejected", Ridge.Terms [||]);
-      ("arity mismatch rejected", Ridge.Terms [| [| 1 |] |]);
-      ("negative exponent rejected", Ridge.Terms [| [| -1; 0 |] |]);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Ratio-like targets, the shape the surrogate fits: near 1, with a
+   smooth percent-level trend plus noise. *)
 let noisy_targets rows seed =
   let rng = Rng.create seed in
   Array.map
     (fun x ->
-      apply_poly [| 1.; 0.5; -0.3; 0.2; 0.1; -0.4 |] x
-      +. uniform rng (-0.01) 0.01)
+      1.
+      +. (0.01 *. apply_poly [| 1.; 0.5; -0.3; 0.2; 0.1; -0.4 |] x)
+      +. uniform rng (-1e-4) 1e-4)
     rows
 
 let test_fit_bitwise_deterministic () =
   let rows = training_rows 20 11L in
   let targets = noisy_targets rows 12L in
-  let m1 = fit_exn ~basis:(Ridge.Poly 2) rows targets in
-  let m2 = fit_exn ~basis:(Ridge.Poly 2) rows targets in
+  let m1 = fit_exn ~degrees:[| 2; 2 |] rows targets in
+  let m2 = fit_exn ~degrees:[| 2; 2 |] rows targets in
   let probes = training_rows 16 13L in
   Array.iter
     (fun x ->
@@ -172,7 +136,7 @@ let test_fit_deterministic_across_jobs () =
   let targets = noisy_targets rows 22L in
   let probes = training_rows 8 23L in
   let run () =
-    let m = fit_exn ~basis:(Ridge.Poly 2) rows targets in
+    let m = fit_exn ~degrees:[| 2; 2 |] rows targets in
     Array.map (fun x -> (Ridge.predict m x, Ridge.confidence m x)) probes
   in
   let sequential = run () in
@@ -196,8 +160,8 @@ let test_permutation_invariant () =
   done;
   let rows' = Array.map (fun i -> rows.(i)) perm in
   let targets' = Array.map (fun i -> targets.(i)) perm in
-  let m1 = fit_exn ~basis:(Ridge.Poly 2) rows targets in
-  let m2 = fit_exn ~basis:(Ridge.Poly 2) rows' targets' in
+  let m1 = fit_exn ~degrees:[| 2; 2 |] rows targets in
+  let m2 = fit_exn ~degrees:[| 2; 2 |] rows' targets' in
   Array.iter
     (fun x ->
       let p1 = Ridge.predict m1 x and p2 = Ridge.predict m2 x in
@@ -208,10 +172,14 @@ let test_permutation_invariant () =
 (* Confidence grows away from the hull                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Relative leverage scales with |phi|^2 / prediction^2, so along a ray it
+   keeps growing only while the basis outgrows the prediction: the
+   confidence tests use a bilinear basis on percent-level trends, the
+   surrogate's regime. *)
 let test_confidence_widens () =
   let rows = training_rows 20 41L in
   let targets = noisy_targets rows 42L in
-  let m = fit_exn ~basis:(Ridge.Poly 2) rows targets in
+  let m = fit_exn ~degrees:[| 1; 1 |] rows targets in
   (* Center of the training box is (0.5, 1.5); walk a ray outward with
      doubling distances well past the hull. *)
   let at t = [| 0.5 +. (t *. 1.); 1.5 +. (t *. 0.7) |] in
@@ -229,12 +197,11 @@ let test_confidence_widens () =
   Alcotest.(check bool) "interior tighter than far field" true
     (Ridge.confidence m [| 0.5; 1.5 |] < Ridge.confidence m (at 32.))
 
-(* Regression: a 1/y-weighted fit on tiny absolute targets (delay-like,
+(* Regression: a relative fit on tiny absolute targets (delay-like,
    ~1e-10 s) builds its normal matrix from ~1e10-weighted rows, so an
-   unweighted query basis reads leverage ~ y^2 ~ 0 and the interval
-   would never widen off the hull.  Scaling the query by its own weight
-   (1/prediction) restores the off-hull growth the serve gate relies
-   on. *)
+   unweighted query basis would read leverage ~ y^2 ~ 0 and the interval
+   would never widen off the hull.  The query is weighted by its own
+   prediction inside [confidence]. *)
 let test_weighted_confidence_widens () =
   let rows = training_rows 20 41L in
   let scale = 1e-10 in
@@ -247,21 +214,12 @@ let test_weighted_confidence_widens () =
         *. (2. +. x.(0) +. (0.5 *. x.(1)) +. (0.01 *. uniform rng (-1.) 1.)))
       rows
   in
-  let weights = Array.map (fun y -> 1. /. y) targets in
-  let m =
-    match Ridge.fit ~basis:(Ridge.Poly 2) ~weights ~rows ~targets () with
-    | Ok m -> m
-    | Error e -> Alcotest.failf "weighted fit: %s" (Ridge.error_to_string e)
-  in
+  let m = fit_exn ~degrees:[| 1; 1 |] rows targets in
   let at t = [| 0.5 +. t; 1.5 +. (0.7 *. t) |] in
-  let conf_at x =
-    let p = Float.abs (Ridge.predict m x) in
-    Ridge.confidence ~weight:(1. /. Float.max p 1e-300) m x
-  in
-  let prev = ref (conf_at (at 2.)) in
+  let prev = ref (Ridge.confidence m (at 2.)) in
   List.iter
     (fun t ->
-      let c = conf_at (at t) in
+      let c = Ridge.confidence m (at t) in
       Alcotest.(check bool)
         (Printf.sprintf "weighted confidence at t=%g grows" t)
         true
@@ -269,34 +227,18 @@ let test_weighted_confidence_widens () =
       prev := c)
     [ 4.; 8.; 16.; 32. ];
   Alcotest.(check bool) "weighted interior tighter than far field" true
-    (conf_at [| 0.5; 1.5 |] < conf_at (at 32.));
-  (* The unweighted query leverage is exactly the degenerate quantity
-     the gate must not use against this fit: flat ~0 even far away. *)
-  Alcotest.(check bool) "unweighted leverage degenerates to ~0" true
-    (Ridge.leverage m (at 32.) < 1e-6)
+    (Ridge.confidence m [| 0.5; 1.5 |] < Ridge.confidence m (at 32.))
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors on degenerate designs                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_degenerate_constant_column () =
-  let rows = Array.init 10 (fun i -> [| float_of_int i; 7. |]) in
-  let targets = Array.map (fun x -> x.(0)) rows in
-  (match Ridge.fit ~basis:(Ridge.Poly 1) ~rows ~targets () with
-  | Error (Ridge.Degenerate_column 1) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Ridge.error_to_string e)
-  | Ok _ -> Alcotest.fail "constant column not detected");
-  (* drop_constant neutralizes it instead. *)
-  let m = fit_exn ~basis:(Ridge.Poly 1) ~drop_constant:true rows targets in
-  Fixtures.check_close ~tol:1e-6 "still fits the live column" 3.
-    (Ridge.predict m [| 3.; 7. |])
-
 let test_degenerate_duplicate_rows () =
   (* Collinear features (x2 = x1): rank-deficient normal matrix with
      lambda = 0 must surface as Singular, never as NaN coefficients. *)
   let rows = Array.init 9 (fun i -> [| float_of_int i; float_of_int i |]) in
-  let targets = Array.map (fun x -> x.(0)) rows in
-  (match Ridge.fit ~lambda:0. ~basis:(Ridge.Poly 1) ~rows ~targets () with
+  let targets = Array.map (fun x -> 1. +. x.(0)) rows in
+  (match Ridge.fit ~lambda:0. ~degrees:[| 1; 1 |] ~rows ~targets () with
   | Error Ridge.Singular -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Ridge.error_to_string e)
   | Ok m ->
@@ -304,73 +246,30 @@ let test_degenerate_duplicate_rows () =
     Alcotest.(check bool) "no NaN escape" true
       (Float.is_finite (Ridge.predict m [| 1.; 1. |])));
   (* Ridge regularization makes the same design well-posed. *)
-  let m = fit_exn ~lambda:1e-6 ~basis:(Ridge.Poly 1) rows targets in
+  let m = fit_exn ~lambda:1e-6 ~degrees:[| 1; 1 |] rows targets in
   Alcotest.(check bool) "ridge prediction finite" true
     (Float.is_finite (Ridge.predict m [| 4.; 4. |]))
 
 let test_non_finite_row () =
   let rows = [| [| 0.; 1. |]; [| Float.nan; 2. |]; [| 2.; 3. |] |] in
-  let targets = [| 0.; 1.; 2. |] in
-  match Ridge.fit ~rows ~targets () with
+  (match Ridge.fit ~degrees:[| 1; 1 |] ~rows ~targets:[| 1.; 2.; 3. |] () with
   | Error (Ridge.Non_finite { row = 1 }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Ridge.error_to_string e)
-  | Ok _ -> Alcotest.fail "NaN row not detected"
+  | Ok _ -> Alcotest.fail "NaN row not detected");
+  (* Relative error is undefined for a non-positive target. *)
+  let rows = [| [| 0.; 1. |]; [| 1.; 2. |]; [| 2.; 3. |] |] in
+  match Ridge.fit ~degrees:[| 1; 1 |] ~rows ~targets:[| 1.; 2.; 0. |] () with
+  | Error (Ridge.Non_finite { row = 2 }) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Ridge.error_to_string e)
+  | Ok _ -> Alcotest.fail "zero target not detected"
 
 let test_too_few_rows () =
   let rows = training_rows 4 51L in
-  let targets = Array.map (fun x -> x.(0)) rows in
-  match Ridge.fit ~lambda:0. ~basis:(Ridge.Poly 2) ~rows ~targets () with
+  let targets = Array.map (fun x -> 2. +. x.(0)) rows in
+  match Ridge.fit ~lambda:0. ~degrees:[| 2; 1 |] ~rows ~targets () with
   | Error (Ridge.Too_few_rows { rows = 4; params = 6 }) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Ridge.error_to_string e)
   | Ok _ -> Alcotest.fail "under-determined LS design not detected"
-
-(* ------------------------------------------------------------------ *)
-(* Ensemble                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_ensemble_spread () =
-  let rows = training_rows 24 61L in
-  let targets = noisy_targets rows 62L in
-  let models =
-    match Ridge.ensemble ~folds:4 ~basis:(Ridge.Poly 2) ~rows ~targets () with
-    | Ok ms -> ms
-    | Error e -> Alcotest.failf "ensemble: %s" (Ridge.error_to_string e)
-  in
-  Alcotest.(check int) "fold count" 4 (List.length models);
-  let interior = Ridge.spread models [| 0.5; 1.5 |] in
-  let far = Ridge.spread models [| 20.; 40. |] in
-  Alcotest.(check bool) "spread non-negative" true (interior >= 0.);
-  Alcotest.(check bool) "spread grows off-hull" true (far > interior)
-
-(* ------------------------------------------------------------------ *)
-(* Trainset                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_trainset_basics () =
-  let t = Trainset.create () in
-  Trainset.add t ~key:"a" ~features:[| 1.; 2. |] ~target:3.;
-  Trainset.add t ~key:"a" ~features:[| 4.; 5. |] ~target:6.;
-  Trainset.add t ~key:"b" ~features:[| 7. |] ~target:8.;
-  Alcotest.(check int) "size" 3 (Trainset.size t);
-  (match Trainset.rows t "a" with
-  | [ r1; r2 ] ->
-    Fixtures.check_close "insertion order" 3. r1.Trainset.tr_target;
-    Fixtures.check_close "insertion order" 6. r2.Trainset.tr_target
-  | l -> Alcotest.failf "expected 2 rows, got %d" (List.length l));
-  Alcotest.(check bool) "absent key" true (Trainset.rows t "zzz" = []);
-  let d1 = Trainset.digest t in
-  Trainset.add t ~key:"b" ~features:[| 9. |] ~target:10.;
-  Alcotest.(check bool) "digest tracks content" true (d1 <> Trainset.digest t);
-  Alcotest.(check bool) "not frozen yet" false (Trainset.is_frozen t);
-  let d_pre = Trainset.digest t in
-  Trainset.freeze t;
-  Alcotest.(check bool) "frozen" true (Trainset.is_frozen t);
-  (* The digest cached at freeze time must equal the live computation. *)
-  Alcotest.(check string) "frozen digest matches live digest" d_pre
-    (Trainset.digest t);
-  Alcotest.check_raises "add after freeze"
-    (Invalid_argument "Trainset.add: pool is frozen") (fun () ->
-      Trainset.add t ~key:"a" ~features:[| 0. |] ~target:0.)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -382,16 +281,14 @@ let prop_recovers_random_quadratics =
   Fixtures.qtest ~count:60 "random quadratics recovered to 1e-9"
     QCheck2.Gen.(array_size (return 6) coeff_gen)
     (fun coeffs ->
+      let f = apply_poly ~offset:100. coeffs in
       let rows = training_rows 25 77L in
-      let targets = Array.map (apply_poly coeffs) rows in
-      match Ridge.fit ~lambda:0. ~basis:(Ridge.Poly 2) ~rows ~targets () with
+      let targets = Array.map f rows in
+      match Ridge.fit ~lambda:0. ~degrees:[| 2; 2 |] ~rows ~targets () with
       | Error _ -> false
       | Ok m ->
         Array.for_all
-          (fun x ->
-            let scale = 1. +. Float.abs (apply_poly coeffs x) in
-            Float.abs (Ridge.predict m x -. apply_poly coeffs x) /. scale
-            < 1e-9)
+          (fun x -> Float.abs (Ridge.predict m x -. f x) /. f x < 1e-9)
           (training_rows 8 78L))
 
 let prop_confidence_monotone_on_rays =
@@ -400,7 +297,7 @@ let prop_confidence_monotone_on_rays =
     (fun (angle, salt) ->
       let rows = training_rows 20 (Int64.of_int (101 + salt)) in
       let targets = noisy_targets rows (Int64.of_int (202 + salt)) in
-      match Ridge.fit ~basis:(Ridge.Poly 2) ~rows ~targets () with
+      match Ridge.fit ~degrees:[| 1; 1 |] ~rows ~targets () with
       | Error _ -> false
       | Ok m ->
         let dx = cos angle and dy = sin angle in
@@ -421,7 +318,6 @@ let suite =
     ("linalg: singular", `Quick, test_linalg_singular);
     ("ridge: exact quadratic recovery", `Quick, test_exact_quadratic);
     ("ridge: exact tensor recovery", `Quick, test_exact_tensor);
-    ("ridge: explicit Terms basis", `Quick, test_terms_basis);
     ("ridge: bitwise deterministic", `Quick, test_fit_bitwise_deterministic);
     ("ridge: deterministic across jobs", `Quick,
      test_fit_deterministic_across_jobs);
@@ -429,14 +325,10 @@ let suite =
     ("ridge: confidence widens off-hull", `Quick, test_confidence_widens);
     ("ridge: weighted confidence widens off-hull", `Quick,
      test_weighted_confidence_widens);
-    ("ridge: constant column typed error", `Quick,
-     test_degenerate_constant_column);
     ("ridge: collinear design typed error", `Quick,
      test_degenerate_duplicate_rows);
     ("ridge: non-finite typed error", `Quick, test_non_finite_row);
     ("ridge: too few rows typed error", `Quick, test_too_few_rows);
-    ("ridge: ensemble spread", `Quick, test_ensemble_spread);
-    ("trainset: basics", `Quick, test_trainset_basics);
   ]
 
 let props = [ prop_recovers_random_quadratics; prop_confidence_monotone_on_rays ]

@@ -339,50 +339,15 @@ let prop_lookup_within_table_bounds =
       d >= Nldm.min_value arc.Library.delay_fall -. 1e-12
       && d <= Nldm.max_value arc.Library.delay_fall +. 1e-12)
 
-(* Bottom rung of the surrogate fallback ladder: a non-positive tolerance
-   trusts no prediction, so the build must walk the exact same sweep (same
-   warm-start chain, same visit order) as a non-surrogate build and produce
-   bit-identical tables, with every point accounted as a fallback. *)
-let test_surrogate_tol_zero_bit_identity () =
-  let cells = List.map Catalog.find_exn [ "INV_X1"; "NAND2_X1" ] in
-  let scenario = Scenario.scenario Scenario.worst_case in
-  let plain, plain_rep =
-    Characterize.library_report ~cells ~axes:Axes.coarse ~name:"sur-off"
-      ~scenario ()
-  in
-  let lib, rep =
-    Characterize.library_report ~cells ~axes:Axes.coarse
-      ~surrogate:(Characterize.surrogate ~tol:0. ())
-      ~name:"sur-off" ~scenario ()
-  in
-  List.iter2
-    (fun (a : Library.entry) (b : Library.entry) ->
-      Alcotest.(check bool)
-        (a.Library.indexed_name ^ ": bit-identical arcs")
-        true
-        (a.Library.arcs = b.Library.arcs))
-    (Library.entries plain) (Library.entries lib);
-  let points = (Characterize.report_totals plain_rep).Characterize.points in
-  match Characterize.report_surrogate rep with
-  | None -> Alcotest.fail "expected surrogate accounting"
-  | Some st ->
-    Alcotest.(check int) "no seed simulations" 0 st.Characterize.fit_simulated;
-    Alcotest.(check int) "no predictions" 0 st.Characterize.fit_predicted;
-    Alcotest.(check int) "every point fell back" points
-      st.Characterize.fit_fallback
-
-(* Upper rung: against a primed cross-corner pool the model must actually
-   serve points — and the tables it serves must still look like NLDM
-   tables (finite, positive, delay monotone in load).  This goes through
-   {!Degradation_library} because the pool (full anchor-corner builds
-   harvested into per-model training buckets) is what makes percent-level
-   confidence reachable; a pool-less single-corner fit honestly reports
-   its uncertainty and falls back instead.  The cell is XOR2 — a
+(* Against its anchor libraries the model must actually serve points —
+   and the tables it serves must still look like NLDM tables (finite,
+   positive, delay monotone in load).  This goes through
+   {!Degradation_library} because the anchors (full corner builds) are
+   what make percent-level confidence reachable.  The cell is XOR2 — a
    multi-stage cell whose hundreds-of-ps tables sit far above the
-   simulator's noise floor; single-stage cells like INV are *refused* by
+   simulator's noise floor; single-stage cells like INV are refused by
    the replayed-anchor certificate at percent tolerances because their
-   5-50 ps delays put chain noise at the same scale as the tolerance
-   (that honest refusal is the all-fallback rung above). *)
+   5-50 ps delays put chain noise at the same scale as the tolerance. *)
 let surrogate_axes =
   let geo n lo hi =
     Array.init n (fun i -> lo *. ((hi /. lo) ** (float i /. float (n - 1))))
@@ -396,7 +361,7 @@ let test_surrogate_predicts_with_loose_tol () =
   let cells = [ Catalog.find_exn "XOR2_X1" ] in
   let deglib =
     Degradation_library.create ~cells ~axes:surrogate_axes
-      ~surrogate:(Characterize.surrogate ~tol:0.05 ())
+      ~surrogate:(Aging_liberty.Surrogate.config ~tol:0.05 ())
       ()
   in
   let lib =
@@ -473,8 +438,6 @@ let suite =
     ("characterize: injected faults recovered by retry", `Quick, test_fault_injection_recovers);
     ("characterize: exhausted faults repaired by fallback", `Quick, test_fault_injection_fallback);
     ("characterize: parallel build deterministic", `Slow, test_parallel_determinism);
-    ("characterize: surrogate tol=0 bit-identical", `Quick,
-     test_surrogate_tol_zero_bit_identity);
     ("characterize: surrogate serves points at loose tol", `Quick,
      test_surrogate_predicts_with_loose_tol);
     ("library: descriptive lookup errors", `Quick, test_descriptive_lookup_errors);
