@@ -543,6 +543,14 @@ let micro () =
   let inputs =
     List.map (fun (p, _) -> (p, false)) design.Aging_netlist.Netlist.input_ports
   in
+  (* One 1-D pass of eight 8-sample vectors (13-bit signed) through the
+     fresh DCT at its STA period. *)
+  let dct = Aging_sim.Event_sim.prepare ~library:fresh (Aging_designs.Designs.dct ()) in
+  let dct_period = Aging_sim.Event_sim.min_period dct in
+  let dct_vectors =
+    let rng = Aging_util.Rng.create 8L in
+    List.init 8 (fun _ -> Array.init 8 (fun _ -> Aging_util.Rng.int rng 8192 - 4096))
+  in
   let cell = Aging_cells.Catalog.find_exn "INV_X1" in
   let scenario =
     Aging_physics.Scenario.scenario Aging_physics.Scenario.worst_case
@@ -560,6 +568,8 @@ let micro () =
           Aging_sta.Timing.Incremental.rollback timer));
       Test.make ~name:"cycle-eval-risc5" (Staged.stage (fun () ->
           Aging_netlist.Netlist.compiled_cycle compiled state ~inputs));
+      Test.make ~name:"event-sim-dct-pass" (Staged.stage (fun () ->
+          Aging_core.System_eval.run_vectors dct ~period:dct_period dct_vectors));
       Test.make ~name:"transient-inv-arc" (Staged.stage (fun () ->
           Aging_liberty.Characterize.arc_measure
             Aging_liberty.Characterize.default_backend ~scenario ~cell

@@ -372,11 +372,17 @@ let build_all () =
       List.map (fun drive -> dff ~drive) [ 1; 2 ];
     ]
 
-let table = lazy (build_all ())
+(* The cells, and an index by name built with them. *)
+let table =
+  lazy
+    (let cells = build_all () in
+     let index = Hashtbl.create 128 in
+     List.iter (fun (c : Cell.t) -> Hashtbl.replace index c.Cell.name c) cells;
+     (cells, index))
 
-let all () = Lazy.force table
+let all () = fst (Lazy.force table)
 
-let find name = List.find_opt (fun (c : Cell.t) -> c.Cell.name = name) (all ())
+let find name = Hashtbl.find_opt (snd (Lazy.force table)) name
 
 let find_exn name =
   match find name with Some c -> c | None -> raise Not_found

@@ -12,7 +12,7 @@ val all : unit -> Cell.t list
 (** Every cell, in a stable order.  The list is built once and memoized. *)
 
 val find : string -> Cell.t option
-(** Look a cell up by full name, e.g. ["NAND2_X2"]. *)
+(** Look a cell up by full name, e.g. ["NAND2_X2"] (a hash lookup). *)
 
 val find_exn : string -> Cell.t
 (** @raise Not_found if the cell does not exist. *)

@@ -16,6 +16,7 @@ type t = {
   inputs : string list;
   outputs : string list;
   logic : bool list -> bool list;
+  table : int array;
   kind : kind;
   area : float;
   built : built;
@@ -29,8 +30,22 @@ type arc = {
 }
 
 let area_per_width_unit = 1.0e-13
+let max_inputs = 6
+
+(* Entry [code] holds the outputs for the input vector whose bit [i] is
+   input [i]; bit [k] of the entry is output [k]. *)
+let truth_table ~n_inputs logic =
+  Array.init (1 lsl n_inputs) (fun code ->
+      let bits = ref 0 in
+      List.iteri
+        (fun k v -> if v then bits := !bits lor (1 lsl k))
+        (logic (List.init n_inputs (fun i -> code land (1 lsl i) <> 0)));
+      !bits)
 
 let make ~name ~base ~drive ~inputs ~outputs ~logic ~kind ~built =
+  let n_inputs = List.length inputs in
+  if n_inputs > max_inputs then
+    invalid_arg (Printf.sprintf "%s: %d inputs (at most %d)" name n_inputs max_inputs);
   let pins_of assoc = List.map fst assoc in
   if pins_of built.input_nodes <> inputs then
     invalid_arg (name ^ ": input pins do not match built nodes");
@@ -39,7 +54,8 @@ let make ~name ~base ~drive ~inputs ~outputs ~logic ~kind ~built =
   let area =
     area_per_width_unit *. (Pull.total_width built.circuit /. Device.w_min)
   in
-  { name; base; drive; inputs; outputs; logic; kind; area; built }
+  let table = truth_table ~n_inputs logic in
+  { name; base; drive; inputs; outputs; logic; table; kind; area; built }
 
 let eval t values =
   if List.length values <> List.length t.inputs then

@@ -22,6 +22,10 @@ type t = {
   logic : bool list -> bool list;
       (** combinational function; for a flip-flop, the captured next-state
           function ([Q := D]) used by cycle-level evaluation *)
+  table : int array;
+      (** [logic] tabulated once: entry [code] (bit [i] = input [i], in
+          [inputs] order) holds the outputs (bit [k] = output [k], in
+          [outputs] order); [2^n] entries for [n] inputs *)
   kind : kind;
   area : float;         (** layout area [m^2] *)
   built : built;        (** reference transistor netlist (fresh devices) *)
@@ -36,13 +40,18 @@ type arc = {
       (** under [side], the output follows the input direction *)
 }
 
+val max_inputs : int
+(** The most input pins a cell may have (its truth table has
+    [2^max_inputs] entries at most). *)
+
 val make :
   name:string -> base:string -> drive:int -> inputs:string list ->
   outputs:string list -> logic:(bool list -> bool list) -> kind:kind ->
   built:built -> t
-(** Computes the area from the total transistor width and validates that the
-    pin lists match the built nodes.
-    @raise Invalid_argument on inconsistent pins. *)
+(** Computes the area from the total transistor width and the truth table
+    from [logic], and validates that the pin lists match the built nodes.
+    @raise Invalid_argument on inconsistent pins or more than
+    {!max_inputs} inputs. *)
 
 val arcs : t -> arc list
 (** Sensitizable timing arcs.  For combinational cells these are derived

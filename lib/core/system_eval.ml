@@ -34,16 +34,32 @@ let rated_period ?(cycles = 150) ?(seed = 17L) sim =
   if error_free (0.5 *. sta) then 0.5 *. sta
   else search (0.5 *. sta) (1.05 *. sta) 7
 
-let port_bits prefix lane value =
-  List.init io_width (fun bit ->
-      ( Printf.sprintf "%s%d[%d]" prefix lane bit,
-        (value land io_mask) lsr bit land 1 = 1 ))
+(* Port names per lane and bit: [I<lane>[bit]] and [O<lane>[bit]]. *)
+let port_names prefix =
+  Array.init 8 (fun lane ->
+      Array.init io_width (fun bit -> Printf.sprintf "%s%d[%d]" prefix lane bit))
 
-let decode_output outs lane =
+let input_names = port_names "I"
+let output_names = port_names "O"
+
+let port_bits lane value =
+  List.init io_width (fun bit ->
+      (input_names.(lane).(bit), (value land io_mask) lsr bit land 1 = 1))
+
+(* Position of each output bit in the design's output ports, the order of a
+   trace's outputs.
+   @raise Not_found if the design lacks one. *)
+let output_positions netlist =
+  let index = Hashtbl.create 128 in
+  List.iteri
+    (fun i (port, _) -> if not (Hashtbl.mem index port) then Hashtbl.add index port i)
+    netlist.Aging_netlist.Netlist.output_ports;
+  Array.map (Array.map (Hashtbl.find index)) output_names
+
+let decode_output positions outs lane =
   let raw = ref 0 in
   for bit = io_width - 1 downto 0 do
-    let name = Printf.sprintf "O%d[%d]" lane bit in
-    raw := (!raw lsl 1) lor (if List.assoc name outs then 1 else 0)
+    raw := (!raw lsl 1) lor Bool.to_int outs.(positions.(lane).(bit))
   done;
   if !raw >= 1 lsl (io_width - 1) then !raw - (1 lsl io_width) else !raw
 
@@ -52,14 +68,15 @@ let run_vectors sim ~period vectors =
   let n = Array.length vecs in
   if n = 0 then []
   else begin
+    let positions = output_positions (Event_sim.design sim) in
     let stimulus cycle =
       let v = vecs.(min cycle (n - 1)) in
-      List.concat (List.init 8 (fun lane -> port_bits "I" lane v.(lane)))
+      List.concat (List.init 8 (fun lane -> port_bits lane v.(lane)))
     in
     let trace = Event_sim.run sim ~period ~cycles:(n + latency) ~stimulus in
     List.init n (fun i ->
-        let outs = trace.Event_sim.outputs.(i + latency) in
-        Array.init 8 (fun lane -> decode_output outs lane))
+        let outs = Array.of_list (List.map snd trace.Event_sim.outputs.(i + latency)) in
+        Array.init 8 (fun lane -> decode_output positions outs lane))
   end
 
 (* One 1-D pass over every 8x8 block of a 64-vector list: [rows] selects

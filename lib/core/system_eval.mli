@@ -24,9 +24,12 @@ val rated_chain_period :
   Aging_image.Image.t ->
   float
 (** The operating point of the Fig. 6c experiment: the smallest clock
-    period (1 % binary search) at which the full encode-decode of the given
-    image is bit-identical to the error-free reference, times [margin]
-    (default 1.03 — the sliver of slack a signoff would leave).  This is
+    period at which the full encode-decode of the given image is
+    bit-identical to the error-free reference, times [margin] (default
+    1.03 — the sliver of slack a signoff would leave).  The edge is found
+    by five halvings of [\[0.55, 1.02\]] times the STA bound, so it is
+    known to within [0.47 / 32], about 1.5 % of the STA bound (up to about
+    2.7 % of the edge itself).  This is
     the gate-level measured "maximum performance in the absence of aging";
     rate it on simulations prepared with the fresh library. *)
 

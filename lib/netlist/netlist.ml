@@ -143,6 +143,13 @@ module Builder = struct
           failwith ("Builder.finish: duplicate instance name " ^ inst.inst_name);
         Hashtbl.add names inst.inst_name ())
       instances;
+    let ports = Hashtbl.create 64 in
+    List.iter
+      (fun (port, _) ->
+        if Hashtbl.mem ports port then
+          failwith ("Builder.finish: duplicate input port " ^ port);
+        Hashtbl.add ports port ())
+      b.rev_inputs;
     let drivers = Array.make b.next_net 0 in
     Array.iter
       (fun inst ->
@@ -262,24 +269,29 @@ let initial_state t = Array.make (List.length (flipflops t)) false
 
 type compiled = {
   netlist : t;
-  (* Combinational instances in topological order, with resolved logic and
-     net indices. *)
-  steps : (bool list -> bool list) array;
+  (* Combinational instances in topological order: each step's instance,
+     truth table (see [Cell.table]) and input and output nets. *)
+  order : int array;
+  tables : int array array;
   step_inputs : int array array;
   step_outputs : int array array;
+  (* Input port name -> its index in [input_ports]; [port_net] holds the
+     nets in that order. *)
+  port_index : (string, int) Hashtbl.t;
+  port_net : int array;
   ff_q : int array;  (* output net per flip-flop *)
   ff_d : int array;  (* D net per flip-flop *)
 }
 
 let compile t =
-  let order = Array.of_list (combinational_order t) in
-  let steps = Array.map (fun inst -> (catalog_cell inst).Cell.logic) order in
-  let step_inputs =
-    Array.map (fun inst -> Array.of_list (List.map snd inst.inputs)) order
-  in
-  let step_outputs =
-    Array.map (fun inst -> Array.of_list (List.map snd inst.outputs)) order
-  in
+  let order = combinational_indices t in
+  let step f = Array.map (fun idx -> f t.instances.(idx)) order in
+  let tables = step (fun inst -> (catalog_cell inst).Cell.table) in
+  let step_inputs = step (fun inst -> Array.of_list (List.map snd inst.inputs)) in
+  let step_outputs = step (fun inst -> Array.of_list (List.map snd inst.outputs)) in
+  let port_index = Hashtbl.create 64 in
+  List.iteri (fun i (port, _) -> Hashtbl.add port_index port i) t.input_ports;
+  let port_net = Array.of_list (List.map snd t.input_ports) in
   let ffs = flipflops t in
   let ff_q =
     Array.of_list
@@ -300,28 +312,49 @@ let compile t =
            | None -> failwith "Netlist.compile: flip-flop without D pin")
          ffs)
   in
-  { netlist = t; steps; step_inputs; step_outputs; ff_q; ff_d }
+  {
+    netlist = t;
+    order;
+    tables;
+    step_inputs;
+    step_outputs;
+    port_index;
+    port_net;
+    ff_q;
+    ff_d;
+  }
 
 let compiled_net_values c state ~inputs =
-  let t = c.netlist in
-  let values = Array.make t.n_nets false in
+  let values = Array.make c.netlist.n_nets false in
+  (* A port takes its first binding in [inputs]; unknown names are ignored. *)
+  let bound = Array.make (Array.length c.port_net) false in
   List.iter
-    (fun (port, net) ->
-      match List.assoc_opt port inputs with
-      | Some v -> values.(net) <- v
-      | None -> failwith ("Netlist.eval: missing input " ^ port))
-    t.input_ports;
-  Array.iteri (fun i q -> values.(q) <- state.(i)) c.ff_q;
+    (fun (port, v) ->
+      match Hashtbl.find c.port_index port with
+      | i ->
+        if not bound.(i) then begin
+          bound.(i) <- true;
+          values.(c.port_net.(i)) <- v
+        end
+      | exception Not_found -> ())
+    inputs;
   Array.iteri
-    (fun k logic ->
-      let in_values =
-        Array.to_list (Array.map (fun n -> values.(n)) c.step_inputs.(k))
-      in
-      let out_values = logic in_values in
-      List.iteri
-        (fun oi v -> values.(c.step_outputs.(k).(oi)) <- v)
-        out_values)
-    c.steps;
+    (fun i b ->
+      if not b then
+        failwith ("Netlist.eval: missing input " ^ fst (List.nth c.netlist.input_ports i)))
+    bound;
+  Array.iteri (fun i q -> values.(q) <- state.(i)) c.ff_q;
+  for k = 0 to Array.length c.tables - 1 do
+    let ins = c.step_inputs.(k) and outs = c.step_outputs.(k) in
+    let code = ref 0 in
+    for i = Array.length ins - 1 downto 0 do
+      code := (!code lsl 1) lor Bool.to_int values.(ins.(i))
+    done;
+    let bits = c.tables.(k).(!code) in
+    for o = 0 to Array.length outs - 1 do
+      values.(outs.(o)) <- (bits lsr o) land 1 = 1
+    done
+  done;
   values
 
 let next_state_of_values c values = Array.map (fun d -> values.(d)) c.ff_d

@@ -68,7 +68,8 @@ module Builder : sig
 
   val finish : b -> netlist
   (** @raise Failure if a declared clock is required (flip-flops present)
-      but missing, or a net has multiple drivers. *)
+      but missing, a net has multiple drivers, or two instances or two
+      input ports share a name. *)
 end
 
 (** {1 Queries} *)
@@ -122,9 +123,23 @@ val net_values :
 (** The settled value of every net for the given inputs/state (clock nets
     read as [false]); used by activity profiling. *)
 
-type compiled
+type compiled = private {
+  netlist : t;
+  order : int array;
+      (** combinational instances in topological order, as indices into
+          [instances]: step [k] evaluates [instances.(order.(k))] *)
+  tables : int array array;
+      (** per step, the cell's truth table ({!Aging_cells.Cell.t.table}) *)
+  step_inputs : int array array;  (** per step, input nets in pin order *)
+  step_outputs : int array array; (** per step, output nets in pin order *)
+  port_index : (string, int) Hashtbl.t;
+      (** input port name -> its index in [input_ports] *)
+  port_net : int array;   (** input port nets, in [input_ports] order *)
+  ff_q : int array;       (** per flip-flop ({!flipflops} order), Q net *)
+  ff_d : int array;       (** per flip-flop, D net *)
+}
 (** Pre-levelized evaluator for repeated cycle evaluation (the topological
-    sort and catalog lookups are done once). *)
+    sort, catalog lookups and port resolution are done once). *)
 
 val compile : t -> compiled
 

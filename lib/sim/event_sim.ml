@@ -1,119 +1,112 @@
 module Library = Aging_liberty.Library
 module Netlist = Aging_netlist.Netlist
-module Cell = Aging_cells.Cell
 module Timing = Aging_sta.Timing
 
-(* ----------------------- tiny binary min-heap ----------------------- *)
+(* --------------------------- event heap --------------------------- *)
 
-type 'a heap = {
+(* Binary min-heap ordered by (time, push order) over parallel arrays.  An
+   event is [2 * net + value] for a net change and [-(ff + 1)] for a
+   flip-flop sample; its push sequence number doubles as the inertial-
+   cancellation stamp.  Push and pop are inlined into the kernel, so no
+   event allocates. *)
+type heap = {
   mutable keys : float array;
   mutable seqs : int array;
-  mutable data : 'a array;
+  mutable events : int array;
   mutable size : int;
   mutable next_seq : int;
-  dummy : 'a;
 }
 
-let heap_create dummy =
+let heap_create () =
   {
     keys = Array.make 256 0.;
     seqs = Array.make 256 0;
-    data = Array.make 256 dummy;
+    events = Array.make 256 0;
     size = 0;
     next_seq = 0;
-    dummy;
   }
 
-let heap_less h i j =
-  h.keys.(i) < h.keys.(j) || (h.keys.(i) = h.keys.(j) && h.seqs.(i) < h.seqs.(j))
+let heap_grow h =
+  let n = 2 * h.size in
+  let keys = Array.make n 0. and seqs = Array.make n 0 and events = Array.make n 0 in
+  Array.blit h.keys 0 keys 0 h.size;
+  Array.blit h.seqs 0 seqs 0 h.size;
+  Array.blit h.events 0 events 0 h.size;
+  h.keys <- keys;
+  h.seqs <- seqs;
+  h.events <- events
 
-let heap_swap h i j =
-  let k = h.keys.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.keys.(j) <- k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let d = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- d
-
-let heap_push h key payload =
-  if h.size = Array.length h.keys then begin
-    let n = 2 * h.size in
-    let keys = Array.make n 0. and seqs = Array.make n 0 in
-    let data = Array.make n h.dummy in
-    Array.blit h.keys 0 keys 0 h.size;
-    Array.blit h.seqs 0 seqs 0 h.size;
-    Array.blit h.data 0 data 0 h.size;
-    h.keys <- keys;
-    h.seqs <- seqs;
-    h.data <- data
-  end;
-  let i = h.size in
-  h.keys.(i) <- key;
-  h.seqs.(i) <- h.next_seq;
-  h.next_seq <- h.next_seq + 1;
-  h.data.(i) <- payload;
+(* Pushes an event and returns its sequence number.  The new event has the
+   largest sequence number, so it rises past strictly later keys only. *)
+let[@inline] heap_push h key event =
+  if h.size = Array.length h.keys then heap_grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = ref h.size in
   h.size <- h.size + 1;
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if heap_less h i parent then begin
-        heap_swap h i parent;
-        up parent
-      end
-    end
-  in
-  up i
+  while !i > 0 && key < h.keys.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    h.keys.(!i) <- h.keys.(p);
+    h.seqs.(!i) <- h.seqs.(p);
+    h.events.(!i) <- h.events.(p);
+    i := p
+  done;
+  h.keys.(!i) <- key;
+  h.seqs.(!i) <- seq;
+  h.events.(!i) <- event;
+  seq
 
-let heap_peek_key h = if h.size = 0 then None else Some h.keys.(0)
-
-let heap_pop h =
-  if h.size = 0 then invalid_arg "heap_pop: empty";
-  let key = h.keys.(0) and payload = h.data.(0) in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    heap_swap h 0 h.size;
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < h.size && heap_less h l !smallest then smallest := l;
-      if r < h.size && heap_less h r !smallest then smallest := r;
-      if !smallest <> i then begin
-        heap_swap h i !smallest;
-        down !smallest
+(* Removes the minimum: the last element sinks from the root, trading
+   places with the smaller child while that child orders first. *)
+let[@inline] heap_drop_min h =
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then begin
+    let key = h.keys.(n) and seq = h.seqs.(n) and event = h.events.(n) in
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let s = ref !i and sk = ref key and ss = ref seq in
+      if l < n && (h.keys.(l) < !sk || (h.keys.(l) = !sk && h.seqs.(l) < !ss)) then begin
+        s := l;
+        sk := h.keys.(l);
+        ss := h.seqs.(l)
+      end;
+      if r < n && (h.keys.(r) < !sk || (h.keys.(r) = !sk && h.seqs.(r) < !ss)) then
+        s := r;
+      if !s = !i then sinking := false
+      else begin
+        h.keys.(!i) <- h.keys.(!s);
+        h.seqs.(!i) <- h.seqs.(!s);
+        h.events.(!i) <- h.events.(!s);
+        i := !s
       end
-    in
-    down 0
-  end;
-  (key, payload)
+    done;
+    h.keys.(!i) <- key;
+    h.seqs.(!i) <- seq;
+    h.events.(!i) <- event
+  end
 
 (* ------------------------------ model ------------------------------ *)
-
-type gate = {
-  logic : bool list -> bool list;
-  in_nets : int array;
-  out_nets : int array;
-  (* delay.(pin).(out).(dir): propagation delay when input [pin] triggers a
-     transition of output [out]; dir 0 = rise, 1 = fall. *)
-  delay : float array array array;
-}
-
-type ff = {
-  d_net : int;
-  q_net : int;
-  setup : float;
-  clkq_rise : float;
-  clkq_fall : float;
-}
 
 type t = {
   netlist : Netlist.t;
   analysis : Timing.analysis;
-  gates : gate array;
-  ffs : ff array;
-  fanout_gates : int list array; (* net -> gate indices to re-evaluate *)
+  compiled : Netlist.compiled;
+      (* the zero-delay reference; its steps are the simulated gates *)
+  (* Fanout in CSR form: a change on net [n] re-evaluates the steps
+     [edge_gate.(e)] for [e] in [edge_start.(n)] .. [edge_start.(n + 1) - 1].
+     From [delay_start.(e)], [edge_delay] holds per output of that step the
+     propagation delay when net [n] triggers it, rise then fall. *)
+  edge_start : int array;
+  edge_gate : int array;
+  delay_start : int array;
+  edge_delay : float array;
+  (* Per flip-flop, in [Netlist.flipflops] order. *)
+  ff_setup : float array;
+  clkq_rise : float array;
+  clkq_fall : float array;
 }
 
 let dir_rise = 0
@@ -121,7 +114,7 @@ let dir_fall = 1
 
 let prepare ?config ~library netlist =
   let analysis = Timing.analyze ?config ~library netlist in
-  let comb = Array.of_list (Netlist.combinational_order netlist) in
+  let compiled = Netlist.compile netlist in
   let resolve inst =
     match Library.find library inst.Netlist.cell_name with
     | Some e -> e
@@ -130,9 +123,10 @@ let prepare ?config ~library netlist =
       | Some e -> e
       | None -> failwith ("Event_sim: cell not in library: " ^ inst.Netlist.cell_name))
   in
-  let gate_of inst =
+  (* delay.(pin).(out).(dir): propagation delay when input [pin] triggers a
+     transition of output [out]. *)
+  let gate_delays inst =
     let entry = resolve inst in
-    let cell = Netlist.catalog_cell inst in
     let in_nets = Array.of_list (List.map snd inst.Netlist.inputs) in
     let out_nets = Array.of_list (List.map snd inst.Netlist.outputs) in
     let pins = Array.of_list (List.map fst inst.Netlist.inputs) in
@@ -179,54 +173,92 @@ let prepare ?config ~library netlist =
           end)
         delay
     done;
-    { logic = cell.Cell.logic; in_nets; out_nets; delay }
+    delay
   in
-  let gates = Array.map gate_of comb in
-  let ffs =
-    Array.of_list
-      (List.map
-         (fun inst ->
-           let entry = resolve inst in
-           let d_net =
-             match List.assoc_opt "D" inst.Netlist.inputs with
-             | Some n -> n
-             | None -> failwith "Event_sim: flip-flop without D"
-           in
-           let q_net =
-             match inst.Netlist.outputs with
-             | [ (_, q) ] -> q
-             | [] | _ :: _ :: _ -> failwith "Event_sim: flip-flop output arity"
-           in
-           let cfg = Timing.config analysis in
-           let load = Timing.load_on analysis q_net in
-           let clkq_rise, clkq_fall =
-             match Library.arc_of entry ~from_pin:"CK" ~to_pin:"Q" with
-             | Some arc ->
-               ( Library.delay_of arc ~dir:Library.Rise
-                   ~slew:cfg.Timing.clock_slew ~load,
-                 Library.delay_of arc ~dir:Library.Fall
-                   ~slew:cfg.Timing.clock_slew ~load )
-             | None -> (0., 0.)
-           in
-           {
-             d_net;
-             q_net;
-             setup = entry.Library.setup_time;
-             clkq_rise;
-             clkq_fall;
-           })
-         (Netlist.flipflops netlist))
+  let steps = compiled.Netlist.order in
+  let delays =
+    Array.map (fun idx -> gate_delays netlist.Netlist.instances.(idx)) steps
   in
-  let fanout_gates = Array.make netlist.Netlist.n_nets [] in
-  Array.iteri
-    (fun gi gate ->
-      Array.iter
-        (fun net ->
-          if not (List.mem gi fanout_gates.(net)) then
-            fanout_gates.(net) <- gi :: fanout_gates.(net))
-        gate.in_nets)
-    gates;
-  { netlist; analysis; gates; ffs; fanout_gates }
+  let step_inputs = compiled.Netlist.step_inputs in
+  let n_outs g = Array.length compiled.Netlist.step_outputs.(g) in
+  (* Each step is an edge of every distinct net it reads; a net's edges run
+     from the last step to the first. *)
+  let distinct ins pi =
+    let rec fresh j = j = pi || (ins.(j) <> ins.(pi) && fresh (j + 1)) in
+    fresh 0
+  in
+  let n_nets = netlist.Netlist.n_nets in
+  let edge_start = Array.make (n_nets + 1) 0 in
+  Array.iter
+    (fun ins ->
+      Array.iteri
+        (fun pi net ->
+          if distinct ins pi then edge_start.(net + 1) <- edge_start.(net + 1) + 1)
+        ins)
+    step_inputs;
+  for net = 1 to n_nets do
+    edge_start.(net) <- edge_start.(net) + edge_start.(net - 1)
+  done;
+  let n_edges = edge_start.(n_nets) in
+  let edge_gate = Array.make n_edges 0 in
+  let fill = Array.sub edge_start 0 n_nets in
+  for g = Array.length steps - 1 downto 0 do
+    let ins = step_inputs.(g) in
+    Array.iteri
+      (fun pi net ->
+        if distinct ins pi then begin
+          edge_gate.(fill.(net)) <- g;
+          fill.(net) <- fill.(net) + 1
+        end)
+      ins
+  done;
+  let delay_start = Array.make (n_edges + 1) 0 in
+  for e = 0 to n_edges - 1 do
+    delay_start.(e + 1) <- delay_start.(e) + (2 * n_outs edge_gate.(e))
+  done;
+  (* The worst delay over the pins the triggering net feeds. *)
+  let edge_delay = Array.make delay_start.(n_edges) 0. in
+  for net = 0 to n_nets - 1 do
+    for e = edge_start.(net) to edge_start.(net + 1) - 1 do
+      let g = edge_gate.(e) in
+      for oi = 0 to n_outs g - 1 do
+        List.iter
+          (fun dir ->
+            let d = ref neg_infinity in
+            Array.iteri
+              (fun pi per_out ->
+                if step_inputs.(g).(pi) = net then d := Float.max !d per_out.(oi).(dir))
+              delays.(g);
+            edge_delay.(delay_start.(e) + (2 * oi) + dir) <-
+              (if Float.is_finite !d then !d else 0.))
+          [ dir_rise; dir_fall ]
+      done
+    done
+  done;
+  let ffs = Array.of_list (Netlist.flipflops netlist) in
+  let cfg = Timing.config analysis in
+  let clkq dir =
+    Array.mapi
+      (fun fi inst ->
+        match Library.arc_of (resolve inst) ~from_pin:"CK" ~to_pin:"Q" with
+        | Some arc ->
+          Library.delay_of arc ~dir ~slew:cfg.Timing.clock_slew
+            ~load:(Timing.load_on analysis compiled.Netlist.ff_q.(fi))
+        | None -> 0.)
+      ffs
+  in
+  {
+    netlist;
+    analysis;
+    compiled;
+    edge_start;
+    edge_gate;
+    delay_start;
+    edge_delay;
+    ff_setup = Array.map (fun inst -> (resolve inst).Library.setup_time) ffs;
+    clkq_rise = clkq Library.Rise;
+    clkq_fall = clkq Library.Fall;
+  }
 
 let min_period t = Timing.min_period t.analysis
 let design t = t.netlist
@@ -236,8 +268,6 @@ type trace = {
   timing_errors : int;
 }
 
-type payload = Net_change of { net : int; value : bool; stamp : int } | Sample of int
-
 let run_functional netlist ~cycles ~stimulus =
   let compiled = Netlist.compile netlist in
   let state = ref (Netlist.initial_state netlist) in
@@ -246,107 +276,117 @@ let run_functional netlist ~cycles ~stimulus =
       state := next;
       outs)
 
+(* ------------------------------ kernel ----------------------------- *)
+
+type state = {
+  heap : heap;
+  values : bool array;  (* current value per net *)
+  target : bool array;  (* value per net once its pending events settle *)
+  latest : int array;   (* sequence number of the net's latest change *)
+  captured : bool array;  (* per flip-flop, the last sampled D *)
+}
+
+let[@inline] schedule st time net value =
+  st.latest.(net) <- heap_push st.heap time ((2 * net) + Bool.to_int value);
+  st.target.(net) <- value
+
+(* Processes every event due by [limit].  A net change applies only if no
+   later change of the net was scheduled since (inertial delay); it then
+   re-evaluates the steps the net feeds and schedules their outputs that
+   move away from their pending value. *)
+let drain t st limit =
+  let h = st.heap and values = st.values and target = st.target in
+  let c = t.compiled in
+  while h.size > 0 && h.keys.(0) <= limit do
+    let time = h.keys.(0) and seq = h.seqs.(0) and event = h.events.(0) in
+    heap_drop_min h;
+    if event < 0 then begin
+      let fi = -event - 1 in
+      st.captured.(fi) <- values.(c.Netlist.ff_d.(fi))
+    end
+    else begin
+      let net = event lsr 1 and value = event land 1 = 1 in
+      if seq = st.latest.(net) && values.(net) <> value then begin
+        values.(net) <- value;
+        for e = t.edge_start.(net) to t.edge_start.(net + 1) - 1 do
+          let g = t.edge_gate.(e) in
+          let ins = c.Netlist.step_inputs.(g) and outs = c.Netlist.step_outputs.(g) in
+          let code = ref 0 in
+          for i = Array.length ins - 1 downto 0 do
+            code := (!code lsl 1) lor Bool.to_int values.(ins.(i))
+          done;
+          let bits = c.Netlist.tables.(g).(!code) in
+          for o = 0 to Array.length outs - 1 do
+            let v = (bits lsr o) land 1 = 1 and out = outs.(o) in
+            if v <> target.(out) then begin
+              let dir = if v then dir_rise else dir_fall in
+              let d = t.edge_delay.(t.delay_start.(e) + (2 * o) + dir) in
+              schedule st (time +. d) out v
+            end
+          done
+        done
+      end
+    end
+  done
+
 let run t ~period ~cycles ~stimulus =
   if period <= 0. then invalid_arg "Event_sim.run: period <= 0";
   if cycles < 0 then invalid_arg "Event_sim.run: negative cycles";
-  let netlist = t.netlist in
-  let n_nets = netlist.Netlist.n_nets in
-  let compiled = Netlist.compile netlist in
+  let netlist = t.netlist and c = t.compiled in
   (* Start in the settled state of the first input vector. *)
-  let init_inputs = stimulus 0 in
+  let first_inputs = stimulus 0 in
   let init_state = Netlist.initial_state netlist in
-  let values = Netlist.compiled_net_values compiled init_state ~inputs:init_inputs in
-  let target = Array.copy values in
-  let latest_stamp = Array.make n_nets 0 in
-  let stamp_counter = ref 0 in
-  let heap = heap_create (Sample (-1)) in
-  let schedule time net value =
-    incr stamp_counter;
-    latest_stamp.(net) <- !stamp_counter;
-    target.(net) <- value;
-    heap_push heap time (Net_change { net; value; stamp = !stamp_counter })
+  let values = Netlist.compiled_net_values c init_state ~inputs:first_inputs in
+  let st =
+    {
+      heap = heap_create ();
+      values;
+      target = Array.copy values;
+      latest = Array.make netlist.Netlist.n_nets (-1);
+      captured = Array.copy init_state;
+    }
   in
-  let eval_gate time trigger_net gi =
-    let g = t.gates.(gi) in
-    let in_values = Array.to_list (Array.map (fun n -> values.(n)) g.in_nets) in
-    let outs = g.logic in_values in
-    List.iteri
-      (fun oi v ->
-        let out_net = g.out_nets.(oi) in
-        if v <> target.(out_net) then begin
-          (* Propagation delay of the pin(s) the triggering net drives (the
-             worst when it feeds several pins of this gate). *)
-          let dir = if v then dir_rise else dir_fall in
-          let d = ref neg_infinity in
-          Array.iteri
-            (fun pi per_out ->
-              if g.in_nets.(pi) = trigger_net then
-                d := Float.max !d per_out.(oi).(dir))
-            g.delay;
-          let d = if Float.is_finite !d then !d else 0. in
-          schedule (time +. d) out_net v
-        end)
-      outs
-  in
-  let apply_net_change time net value stamp =
-    if stamp = latest_stamp.(net) && values.(net) <> value then begin
-      values.(net) <- value;
-      List.iter (eval_gate time net) t.fanout_gates.(net)
-    end
-  in
-  let captured = Array.make (Array.length t.ffs) false in
-  Array.iteri (fun i (_ : ff) -> captured.(i) <- init_state.(i)) t.ffs;
-  let drain limit =
-    let continue = ref true in
-    while !continue do
-      match heap_peek_key heap with
-      | Some time when time <= limit ->
-        let time, payload = heap_pop heap in
-        begin
-          match payload with
-          | Net_change { net; value; stamp } -> apply_net_change time net value stamp
-          | Sample fi -> captured.(fi) <- values.(t.ffs.(fi).d_net)
-        end
-      | Some _ | None -> continue := false
-    done
-  in
+  let n_ffs = Array.length c.Netlist.ff_q in
+  let q_values = Array.map (fun q -> values.(q)) c.Netlist.ff_q in
   (* Reference (zero-delay) execution to count timing errors. *)
   let ref_state = ref init_state in
   let timing_errors = ref 0 in
   let outputs = Array.make cycles [] in
-  let q_values = Array.map (fun (ff : ff) -> values.(ff.q_net)) t.ffs in
   for cycle = 0 to cycles - 1 do
     let t_edge = float_of_int (cycle + 1) *. period in
     (* Schedule the D sampling points of this edge. *)
-    Array.iteri
-      (fun fi (ff : ff) -> heap_push heap (t_edge -. ff.setup) (Sample fi))
-      t.ffs;
+    for fi = 0 to n_ffs - 1 do
+      ignore (heap_push st.heap (t_edge -. t.ff_setup.(fi)) (-(fi + 1)) : int)
+    done;
     (* Apply this cycle's inputs just after the previous edge. *)
+    let inputs = if cycle = 0 then first_inputs else stimulus cycle in
     let t_inputs = (float_of_int cycle *. period) +. 1e-15 in
     List.iter
       (fun (port, value) ->
-        match List.assoc_opt port netlist.Netlist.input_ports with
-        | Some net -> if target.(net) <> value then schedule t_inputs net value
-        | None -> failwith ("Event_sim.run: unknown input " ^ port))
-      (stimulus cycle);
-    drain t_edge;
+        match Hashtbl.find c.Netlist.port_index port with
+        | i ->
+          let net = c.Netlist.port_net.(i) in
+          if st.target.(net) <> value then schedule st t_inputs net value
+        | exception Not_found -> failwith ("Event_sim.run: unknown input " ^ port))
+      inputs;
+    drain t st t_edge;
     (* Record primary outputs as seen by the capturing edge. *)
     outputs.(cycle) <-
       List.map (fun (port, net) -> (port, values.(net))) netlist.Netlist.output_ports;
-    (* Reference execution for this cycle. *)
-    let _, ref_next =
-      Netlist.compiled_cycle compiled !ref_state ~inputs:(stimulus cycle)
+    let ref_next =
+      Netlist.next_state_of_values c
+        (Netlist.compiled_net_values c !ref_state ~inputs)
     in
     (* Captures become visible on Q after clk->q. *)
-    Array.iteri
-      (fun fi (ff : ff) ->
-        if captured.(fi) <> ref_next.(fi) then incr timing_errors;
-        if captured.(fi) <> q_values.(fi) then begin
-          q_values.(fi) <- captured.(fi);
-          let d = if captured.(fi) then ff.clkq_rise else ff.clkq_fall in
-          schedule (t_edge +. d) ff.q_net captured.(fi)
-        end)
-      t.ffs;
+    for fi = 0 to n_ffs - 1 do
+      let captured = st.captured.(fi) in
+      if captured <> ref_next.(fi) then incr timing_errors;
+      if captured <> q_values.(fi) then begin
+        q_values.(fi) <- captured;
+        let d = if captured then t.clkq_rise.(fi) else t.clkq_fall.(fi) in
+        schedule st (t_edge +. d) c.Netlist.ff_q.(fi) captured
+      end
+    done;
     ref_state := ref_next
   done;
   { outputs; timing_errors = !timing_errors }

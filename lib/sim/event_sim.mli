@@ -16,8 +16,9 @@ val prepare :
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   t
-(** Runs STA against [library] and freezes per-instance pin-to-pin delays
-    (rise/fall, per triggering pin). *)
+(** Runs STA against [library], freezes per-instance pin-to-pin delays
+    (rise/fall, per triggering pin) and compiles the zero-delay reference
+    evaluator, so {!run} repeats none of this work. *)
 
 val min_period : t -> float
 (** The STA minimum period of the prepared design under its library. *)
@@ -28,7 +29,7 @@ val design : t -> Aging_netlist.Netlist.t
 type trace = {
   outputs : (string * bool) list array;
       (** primary-output values captured at each rising edge (the edge at
-          the *end* of each cycle) *)
+          the *end* of each cycle), in the design's [output_ports] order *)
   timing_errors : int;
       (** number of flip-flop captures that differed from the zero-delay
           reference during the run *)
@@ -42,8 +43,11 @@ val run :
   trace
 (** Simulates [cycles] clock cycles at the given period.  [stimulus n]
     provides the primary-input values applied at the start of cycle [n]
-    (held for the whole cycle).  Flip-flops start at 0.
-    @raise Invalid_argument if [period <= 0] or [cycles < 0]. *)
+    (held for the whole cycle); it is called once per cycle.  Flip-flops
+    start at 0.
+    @raise Invalid_argument if [period <= 0] or [cycles < 0].
+    @raise Failure on a stimulus port that is not a primary input, or a
+    primary input the stimulus leaves unbound. *)
 
 val run_functional :
   Aging_netlist.Netlist.t -> cycles:int ->

@@ -123,6 +123,55 @@ let test_eval_arity () =
   Alcotest.check_raises "wrong arity" (Invalid_argument "NAND2_X1: wrong input count")
     (fun () -> ignore (Cell.eval (Catalog.find_exn "NAND2_X1") [ true ]))
 
+(* The tabulated truth table against the logic function on every input
+   vector of every catalog cell: multi-output (FA, HA), zero-input tie
+   cells, high-beta variants and flip-flops included. *)
+let test_truth_table_matches_logic () =
+  List.iter
+    (fun (cell : Cell.t) ->
+      let n = List.length cell.Cell.inputs in
+      Alcotest.(check int) (cell.Cell.name ^ " table size") (1 lsl n)
+        (Array.length cell.Cell.table);
+      for code = 0 to (1 lsl n) - 1 do
+        let outs = cell.Cell.logic (List.init n (fun i -> code land (1 lsl i) <> 0)) in
+        List.iteri
+          (fun k want ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s input %d output %d" cell.Cell.name code k)
+              want
+              ((cell.Cell.table.(code) lsr k) land 1 = 1))
+          outs;
+        Alcotest.(check int)
+          (Printf.sprintf "%s input %d: no stray output bits" cell.Cell.name code)
+          0
+          (cell.Cell.table.(code) lsr List.length outs)
+      done)
+    (Catalog.all ());
+  (* The bit layout, spelled out: bit i of the index is input i, bit k of
+     the entry is output k (HA outputs are CO then S). *)
+  let table name = (Catalog.find_exn name).Cell.table in
+  Alcotest.(check (array int)) "NAND2" [| 1; 1; 1; 0 |] (table "NAND2_X1");
+  Alcotest.(check (array int)) "HA" [| 0; 2; 2; 1 |] (table "HA_X1");
+  Alcotest.(check (array int)) "TIEHI" [| 1 |] (table "TIEHI_X1");
+  Alcotest.(check (array int)) "TIELO" [| 0 |] (table "TIELO_X1")
+
+let test_make_input_limit () =
+  let n = Cell.max_inputs + 1 in
+  let c = Circuit.create () in
+  let pins = List.init n (Printf.sprintf "A%d") in
+  let input_nodes = List.map (fun p -> (p, Circuit.fresh_node ~name:p c)) pins in
+  let y = Circuit.fresh_node ~name:"Y" c in
+  Alcotest.check_raises "too many inputs"
+    (Invalid_argument
+       (Printf.sprintf "WIDE_X1: %d inputs (at most %d)" n Cell.max_inputs))
+    (fun () ->
+      ignore
+        (Cell.make ~name:"WIDE_X1" ~base:"WIDE" ~drive:1 ~inputs:pins
+           ~outputs:[ "Y" ]
+           ~logic:(fun vs -> [ List.for_all Fun.id vs ])
+           ~kind:Cell.Combinational
+           ~built:{ Cell.circuit = c; input_nodes; output_nodes = [ ("Y", y) ] }))
+
 let suite =
   [
     ("catalog: size", `Quick, test_catalog_size);
@@ -137,6 +186,8 @@ let suite =
     ("cells: area model", `Quick, test_area_model);
     ("cells: high-beta widths", `Quick, test_high_beta_widths);
     ("cells: eval arity check", `Quick, test_eval_arity);
+    ("cells: truth table matches logic", `Quick, test_truth_table_matches_logic);
+    ("cells: input count limit", `Quick, test_make_input_limit);
   ]
 
 let props = []

@@ -53,6 +53,16 @@ let test_multiple_drivers_rejected () =
     Alcotest.fail "double driver accepted"
   with Failure _ -> ()
 
+let test_duplicate_input_port_rejected () =
+  let b = Builder.create "t" in
+  let a = Builder.input b "a" and a' = Builder.input b "a" in
+  (match Builder.cell b "NAND2_X1" ~inputs:[ ("A1", a); ("A2", a') ] with
+  | [ y ] -> Builder.output b "y" y
+  | _ -> Alcotest.fail "arity");
+  Alcotest.check_raises "duplicate port"
+    (Failure "Builder.finish: duplicate input port a")
+    (fun () -> ignore (Builder.finish b))
+
 let test_flipflop_needs_clock () =
   let b = Builder.create "t" in
   let a = Builder.input b "a" in
@@ -145,6 +155,8 @@ let suite =
     ("eval: counter behaviour", `Quick, test_counter_counts);
     ("builder: bad cells rejected", `Quick, test_builder_errors);
     ("builder: multiple drivers rejected", `Quick, test_multiple_drivers_rejected);
+    ("builder: duplicate input port rejected", `Quick,
+      test_duplicate_input_port_rejected);
     ("builder: flip-flop needs clock", `Quick, test_flipflop_needs_clock);
     ("order: combinational cycle detected", `Quick, test_combinational_cycle_detected);
     ("names: base cell name", `Quick, test_base_cell_name);

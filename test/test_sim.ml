@@ -53,12 +53,70 @@ let test_event_sim_error_monotonicity () =
   in
   Alcotest.(check bool) "fewer errors at slower clock" true (errors 0.9 <= errors 0.35)
 
+(* Exact traces of the DSP design on the test fresh library, recorded with
+   the kernel at commit c891384 (boxed-payload heap, per-event logic
+   closures).  Error counts alone cannot catch a kernel that reorders
+   same-time events or drops inertial cancellation; the output digests
+   and exact counts can. *)
+let golden_traces =
+  (* seed, period / min_period, timing errors, digest of the outputs *)
+  [
+    (7L, 0.3, 751, "4c645013f7906a99d410f736abca4594");
+    (7L, 0.5, 143, "172641155993f618e67d6632bfd492f0");
+    (7L, 0.6, 28, "a3c74ec7704cefb34ce6bb115a3fdbe2");
+    (7L, 0.7, 0, "c12742b33527bd4488e51a8b0a675310");
+    (7L, 0.9, 0, "c12742b33527bd4488e51a8b0a675310");
+    (9L, 0.3, 755, "58c9319406c8fbde74cdf86488031748");
+    (9L, 0.5, 136, "862a66fe9be4fabba1fe53952410d41e");
+    (9L, 0.6, 18, "cac91af1642716e0267ab9a6722c2ea1");
+    (9L, 0.7, 0, "34bd40d2ddd4de5f16703d4493067474");
+    (9L, 0.9, 0, "34bd40d2ddd4de5f16703d4493067474");
+  ]
+
+let outputs_digest outputs =
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun outs ->
+      List.iter
+        (fun (port, v) ->
+          Buffer.add_string buf port;
+          Buffer.add_char buf (if v then '1' else '0'))
+        outs;
+      Buffer.add_char buf ';')
+    outputs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_event_sim_golden () =
+  let design = Designs.dsp () in
+  let sim = Event_sim.prepare ~library:(fresh ()) design in
+  List.iter
+    (fun (seed, frac, errors, digest) ->
+      let trace =
+        Event_sim.run sim
+          ~period:(frac *. Event_sim.min_period sim)
+          ~cycles:60 ~stimulus:(random_stimulus design seed)
+      in
+      let label = Printf.sprintf "seed %Ld at %g x min_period" seed frac in
+      Alcotest.(check int) (label ^ ": timing errors") errors
+        trace.Event_sim.timing_errors;
+      Alcotest.(check string) (label ^ ": outputs") digest
+        (outputs_digest trace.Event_sim.outputs))
+    golden_traces
+
 let test_event_sim_validation () =
   let design = Designs.counter ~bits:2 in
   let sim = Event_sim.prepare ~library:(fresh ()) design in
   Alcotest.check_raises "period" (Invalid_argument "Event_sim.run: period <= 0")
     (fun () ->
-      ignore (Event_sim.run sim ~period:0. ~cycles:1 ~stimulus:(fun _ -> [ ("en", true) ])))
+      ignore (Event_sim.run sim ~period:0. ~cycles:1 ~stimulus:(fun _ -> [ ("en", true) ])));
+  Alcotest.check_raises "unknown input"
+    (Failure "Event_sim.run: unknown input bogus")
+    (fun () ->
+      ignore
+        (Event_sim.run sim ~period:1e-9 ~cycles:1
+           ~stimulus:(fun _ -> [ ("en", true); ("bogus", true) ])));
+  Alcotest.check_raises "unbound input" (Failure "Netlist.eval: missing input en")
+    (fun () -> ignore (Event_sim.run sim ~period:1e-9 ~cycles:1 ~stimulus:(fun _ -> [])))
 
 let test_activity_profile () =
   let design = Designs.counter ~bits:4 in
@@ -144,6 +202,7 @@ let suite =
       test_event_sim_matches_reference_at_slow_clock);
     ("event sim: errors at fast clock", `Quick, test_event_sim_errors_at_fast_clock);
     ("event sim: error monotonicity", `Quick, test_event_sim_error_monotonicity);
+    ("event sim: golden traces", `Quick, test_event_sim_golden);
     ("event sim: validation", `Quick, test_event_sim_validation);
     ("activity: counter profile", `Quick, test_activity_profile);
     ("activity: constant input", `Quick, test_activity_constant_input);
