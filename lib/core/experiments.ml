@@ -472,7 +472,7 @@ let libgen t ?corners () =
   let corners =
     (* Default to the 3x3 sub-grid: corner suffixes are exact at one
        decimal, and the paper's full 11x11 grid (121 corners) is one
-       [~corners:(Scenario.grid ())] away at ~30 s per corner. *)
+       [~corners:(Scenario.grid ())] away at ~2 s per corner on two cores. *)
     match corners with
     | Some c -> c
     | None -> Scenario.grid ~step:0.5 ()

@@ -661,7 +661,7 @@ let mid_value table =
   table.Nldm.values.(n_s / 2).(n_l / 2)
 
 (* The independent work units of one cell, in a fixed canonical order (the
-   order the sequential code has always measured them in): every
+   order its tables and report stats are assembled in): every
    combinational arc contributes a Rise and a Fall grid; a flip-flop
    contributes its launch-rise and launch-fall grids.  The two launch arcs
    (Q rise with D=1, Q fall with D=0) merge into one library arc; each
@@ -682,45 +682,14 @@ let grid_jobs (cell : Cell.t) =
     in
     [ (rise_arc, Library.Rise); (fall_arc, Library.Fall) ]
 
-let entry ?(backend = default_backend) ?(indexed = false) ?report ?(jobs = 1)
-    ?surrogate ~(axes : Axes.t) ~scenario (cell : Cell.t) =
-  let corner_tag = Scenario.suffix scenario.Scenario.corner in
-  let t_cell = Span.now () in
-  Span.with_ "characterize.cell"
-    ~attrs:[ ("cell", cell.Cell.name); ("corner", corner_tag) ]
-  @@ fun () ->
-  let report = match report with Some r -> r | None -> report_create () in
-  (* Shared read-only by every worker; each measurement copies it before
-     attaching its own load. *)
-  let base_circuit = aged_circuit ~scenario cell in
-  let work = grid_jobs cell in
-  let results =
-    Pool.map ~jobs
-      (fun ((arc : Cell.arc), dir) ->
-        let stats =
-          make_arc_stats ~cell:cell.Cell.name ~from_pin:arc.Cell.arc_input
-            ~to_pin:arc.Cell.arc_output ~dir
-        in
-        let tables =
-          Span.with_ "characterize.arc"
-            ~attrs:
-              [
-                ("cell", cell.Cell.name);
-                ("from", arc.Cell.arc_input);
-                ("to", arc.Cell.arc_output);
-                ("dir", dir_label dir);
-              ]
-            (fun () ->
-              measure_grid ?surrogate ~scenario backend ~stats ~axes
-                ~base_circuit ~cell ~arc ~dir)
-        in
-        (stats, tables))
-      work
-  in
-  (* Same newest-first report order as a sequential run: prepend in
-     work-unit order regardless of which domain finished first. *)
-  List.iter (fun (stats, _) -> report.stats <- stats :: report.stats) results;
-  let tables = Array.of_list (List.map snd results) in
+(* Static cost of one grid, for longest-first claiming: every grid of a
+   library has the same points, and a point's transient grows with the
+   cell's device count (multi-stage cells and flip-flops lead). *)
+let grid_cost (cell : Cell.t) =
+  List.length (Circuit.mosfets cell.Cell.built.circuit)
+
+(* One cell's library entry from its grids' tables, in [grid_jobs] order. *)
+let make_entry ~indexed ~scenario (cell : Cell.t) work tables =
   let arcs =
     match cell.Cell.kind with
     | Cell.Combinational ->
@@ -779,10 +748,6 @@ let entry ?(backend = default_backend) ?(indexed = false) ?report ?(jobs = 1)
       cell.Cell.name ^ "@" ^ Scenario.suffix scenario.Scenario.corner
     else cell.Cell.name
   in
-  Metrics.incr m_cells;
-  Log.infof "characterize" "cell %s [%s]: %d arcs in %.2f s" cell.Cell.name
-    corner_tag (List.length arcs)
-    (Span.now () -. t_cell);
   {
     Library.cell;
     indexed_name;
@@ -796,36 +761,86 @@ let entry ?(backend = default_backend) ?(indexed = false) ?report ?(jobs = 1)
 let library ?(backend = default_backend) ?cells ?(indexed = false) ?report
     ?(jobs = 1) ?surrogate ~axes ~name ~scenario () =
   let cells = Option.value cells ~default:(Aging_cells.Catalog.all ()) in
+  let corner_tag = Scenario.suffix scenario.Scenario.corner in
   Span.with_ "characterize.library" ~attrs:[ ("library", name) ] @@ fun () ->
   Log.infof "characterize" "library %s: characterizing %d cells [%s, %d job%s]"
-    name (List.length cells)
-    (Scenario.suffix scenario.Scenario.corner)
-    jobs
+    name (List.length cells) corner_tag jobs
     (if jobs = 1 then "" else "s");
-  (* Two fan-out levels share the same budget: cells across the pool, and
-     (arc, dir) grids within each cell.  The pool's nesting guard makes the
-     inner level sequential whenever the outer one actually spawned, so the
-     inner fan-out only kicks in for small cell lists (tests, bench
-     subsets) where the outer level alone cannot fill the pool.  Every
-     worker fills a private report; the reports are merged in cell order,
-     which makes the final report — like the entry list — bit-for-bit
-     independent of the worker count. *)
-  let per_cell =
-    Pool.map ~jobs
-      (fun cell ->
-        let cell_report = report_create () in
-        let e =
-          entry ~backend ~indexed ~report:cell_report ~jobs ?surrogate ~axes
-            ~scenario cell
-        in
-        (e, cell_report))
-      cells
+  (* One flat work list: every (cell, arc, dir) grid of the library, in
+     catalog then work-unit order.  A grid is sequential inside (its own
+     warm-start chain), so its tables do not depend on which domain claims
+     it, or when; results are put back in work-list order. *)
+  let per_cell = List.map (fun cell -> (cell, grid_jobs cell)) cells in
+  let units =
+    List.concat_map
+      (fun ((cell : Cell.t), work) ->
+        (* Shared read-only by the cell's grids; each measurement copies it
+           before attaching its own load. *)
+        let base_circuit = aged_circuit ~scenario cell in
+        List.map (fun job -> (cell, base_circuit, job)) work)
+      per_cell
   in
-  (match report with
-  | None -> ()
-  | Some dst ->
-    List.iter (fun (_, r) -> dst.stats <- r.stats @ dst.stats) per_cell);
-  Library.create ~lib_name:name ~axes (List.map fst per_cell)
+  let measure (cell, base_circuit, ((arc : Cell.arc), dir)) =
+    let stats =
+      make_arc_stats ~cell:cell.Cell.name ~from_pin:arc.Cell.arc_input
+        ~to_pin:arc.Cell.arc_output ~dir
+    in
+    let tables =
+      Span.with_ "characterize.arc"
+        ~attrs:
+          [
+            ("cell", cell.Cell.name);
+            ("from", arc.Cell.arc_input);
+            ("to", arc.Cell.arc_output);
+            ("dir", dir_label dir);
+          ]
+        (fun () ->
+          measure_grid ?surrogate ~scenario backend ~stats ~axes ~base_circuit
+            ~cell ~arc ~dir)
+    in
+    (stats, tables)
+  in
+  (* Claim order is longest-first, so the expensive grids start early and
+     the pool's tail is made of short ones. *)
+  let order =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> compare b a)
+      (List.mapi
+         (fun i ((cell, _, _) as unit) -> (grid_cost cell, i, unit))
+         units)
+  in
+  let results = Array.make (List.length units) None in
+  List.iter2
+    (fun (_, i, _) r -> results.(i) <- Some r)
+    order
+    (Pool.map ~jobs (fun (_, _, unit) -> measure unit) order);
+  let next = ref 0 in
+  let entries =
+    List.map
+      (fun ((cell : Cell.t), work) ->
+        let grids =
+          Array.init (List.length work) (fun k ->
+              Option.get results.(!next + k))
+        in
+        next := !next + Array.length grids;
+        (* Same newest-first report order as a sequential run. *)
+        Option.iter
+          (fun r ->
+            Array.iter (fun (stats, _) -> r.stats <- stats :: r.stats) grids)
+          report;
+        let e = make_entry ~indexed ~scenario cell work (Array.map snd grids) in
+        (* A cell's grids need not run back to back, so its time is the sum
+           of its grids' wall times, not an interval. *)
+        let seconds =
+          Array.fold_left (fun acc (s, _) -> acc +. s.grid_seconds) 0. grids
+        in
+        Metrics.incr m_cells;
+        Log.infof "characterize" "cell %s [%s]: %d arcs in %.2f s"
+          cell.Cell.name corner_tag (List.length e.Library.arcs) seconds;
+        e)
+      per_cell
+  in
+  Library.create ~lib_name:name ~axes entries
 
 let library_report ?backend ?cells ?indexed ?jobs ?surrogate ~axes ~name
     ~scenario () =

@@ -29,17 +29,18 @@
     {2 Parallelism}
 
     Characterization is embarrassingly parallel: every (cell, arc,
-    direction) grid is independent.  {!library} and {!entry} accept a
-    [jobs] count and fan the grids out over an {!Aging_util.Pool} of
-    domains — cells across the pool, (arc, direction) grids within a cell
-    when the cell level alone cannot fill it.  The result is {e
-    deterministic}: entries, tables, and the merged report are assembled in
-    input order, never completion order, so [library ~jobs:n] is
-    bit-for-bit identical to [library ~jobs:1] for every [n] (the only
-    exception being the wall-time fields of {!arc_stats}, which record
-    measurements, not results).  [jobs]
-    defaults to [1] (sequential); the CLI and benches default it to
-    {!Aging_util.Pool.default_jobs}. *)
+    direction) grid is independent.  {!library} takes a [jobs] count and
+    puts every grid of the library on one flat work list over an
+    {!Aging_util.Pool} of domains, claimed longest-first by a static cost
+    (the cell's device count), so the multi-stage cells start early
+    instead of holding up the end of the build.  The result is {e
+    deterministic}: each grid runs its own sequential warm-start chain, and
+    entries, tables, and the merged report are assembled in input order,
+    never claim or completion order, so [library ~jobs:n] is bit-for-bit
+    identical to [library ~jobs:1] for every [n] (the only exception being
+    the wall-time fields of {!arc_stats}, which record measurements, not
+    results).  [jobs] defaults to [1] (sequential); the CLI and benches
+    default it to {!Aging_util.Pool.default_jobs}. *)
 
 type point_error =
   | No_settle of float
@@ -145,23 +146,6 @@ val report_to_string : report -> string
 
 (** {2 Characterization} *)
 
-val entry :
-  ?backend:backend ->
-  ?indexed:bool ->
-  ?report:report ->
-  ?jobs:int ->
-  ?surrogate:Surrogate.t ->
-  axes:Axes.t ->
-  scenario:Aging_physics.Scenario.t ->
-  Aging_cells.Cell.t ->
-  Library.entry
-(** Characterizes one cell under the scenario.  When [indexed] is true the
-    entry name carries the corner suffix ("NAND2_X1\@0.4_0.6"); default
-    false (bare name).  Per-point failures are retried and repaired, never
-    raised; pass [report] to collect the accounting.  [jobs] (default 1)
-    fans the cell's (arc, direction) grids out over that many domains;
-    results and report order do not depend on it. *)
-
 val library :
   ?backend:backend ->
   ?cells:Aging_cells.Cell.t list ->
@@ -177,9 +161,12 @@ val library :
 (** Characterizes a whole library (default: the full catalog) under one
     scenario.  Always returns a complete library: full grids for every arc
     of every cell, with failed points repaired (see the module docs).
-    [jobs] (default 1) parallelizes across cells (and within them — see
-    {e Parallelism} above); the returned library and any [report] are
-    identical for every [jobs] value. *)
+    When [indexed] is true the entry names carry the corner suffix
+    ("NAND2_X1\@0.4_0.6"); default false (bare names).  Pass [report] to
+    collect the per-point accounting.  [jobs] (default 1) spreads the
+    library's grids over that many domains (see {e Parallelism} above);
+    the returned library and any [report] are identical for every [jobs]
+    value and follow the order of [cells]. *)
 
 val library_report :
   ?backend:backend ->

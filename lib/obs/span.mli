@@ -1,6 +1,6 @@
 (** Hierarchical timed spans.
 
-    [with_ "characterize.cell" ~attrs:[("cell", "NAND2_X1")] f] times [f],
+    [with_ "characterize.arc" ~attrs:[("cell", "NAND2_X1")] f] times [f],
     records its nesting relative to enclosing spans, and captures the
     outcome — including an exception raised by [f], which closes the span
     (outcome [Raised]) before re-raising, so the span stack can never be

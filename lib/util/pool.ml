@@ -35,30 +35,35 @@ let map ?jobs f xs =
       in
       cas ()
     in
-    let run_chunk k =
-      let lo = k * n / jobs and hi = (k + 1) * n / jobs in
-      for i = lo to hi - 1 do
-        match f input.(i) with
+    (* Dynamic claiming: every domain, the caller included, takes the next
+       unclaimed index until the input is used up, so one expensive item
+       never strands a pre-assigned run of others behind it. *)
+    let next = Atomic.make 0 in
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f input.(i) with
         | v -> results.(i) <- Some v
-        | exception e -> record_failure i e (Printexc.get_raw_backtrace ())
-      done
+        | exception e -> record_failure i e (Printexc.get_raw_backtrace ()));
+        drain ()
+      end
     in
-    let worker k () =
+    let worker () =
       Domain.DLS.set inside_pool true;
-      run_chunk k
+      drain ()
     in
     (* Drain discipline: whatever goes wrong mid-map — a [Domain.spawn]
        failing after some workers are already running (resource
-       exhaustion), the caller's chunk raising, or a join itself raising —
-       every domain that was actually spawned is joined before control
-       leaves this function, and the calling domain's nesting flag is
-       reset.  Leaking an unjoined domain would poison every later [map]
+       exhaustion), the caller's own drain raising, or a join itself
+       raising — every domain that was actually spawned is joined before
+       control leaves this function, and the calling domain's nesting flag
+       is reset.  Leaking an unjoined domain would poison every later [map]
        (and eventually the runtime); leaving [inside_pool] set would
        silently sequentialize them. *)
     let spawned = ref [] in
     let join_all () =
       (* Join every spawned domain even if an early join raises; the first
-         join exception (a worker dying outside [run_chunk]'s per-element
+         join exception (a worker dying outside [drain]'s per-element
          handler, e.g. an asynchronous exception) is re-raised only after
          all of them are accounted for. *)
       let first = ref None in
@@ -80,11 +85,11 @@ let map ?jobs f xs =
         Domain.DLS.set inside_pool false;
         join_all ())
       (fun () ->
-        for k = 1 to jobs - 1 do
-          spawned := Domain.spawn (worker k) :: !spawned
+        for _ = 1 to jobs - 1 do
+          spawned := Domain.spawn worker :: !spawned
         done;
         Domain.DLS.set inside_pool true;
-        run_chunk 0);
+        drain ());
     (match Atomic.get failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

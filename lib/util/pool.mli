@@ -3,18 +3,19 @@
     [map ~jobs f xs] applies [f] to every element of [xs] on up to [jobs]
     domains and returns the results {e in input order} — never in
     completion order — so a parallel map is bit-for-bit substitutable for
-    [List.map].  The input is split into [jobs] contiguous chunks, one per
-    domain (work units are expected to be coarse and similar in cost:
-    characterization grids, library corners), and the calling domain works
-    a chunk itself rather than idling.
+    [List.map].  The input is claimed item by item: each domain, the
+    calling one included, takes the next unclaimed element until none is
+    left, so work items need not be similar in cost — a long item simply
+    occupies one domain while the others drain the rest.  Callers with
+    skewed costs get the best balance by putting the longest items first.
 
     Nested calls never oversubscribe: a [map] issued from inside a pool
     worker runs sequentially on that worker, so composed parallel layers
-    (corners over cells over arcs) fan out only at the outermost level
-    that actually has more than one work item.
+    (corners over characterization grids) fan out only at the outermost
+    level that actually has more than one work item.
 
-    Exceptions propagate: if any application of [f] raises, every chunk
-    still runs to completion (no cancellation), and then the exception of
+    Exceptions propagate: if any application of [f] raises, every other
+    item still runs to completion (no cancellation), and then the exception of
     the {e lowest-indexed} failing element is re-raised in the caller with
     its original backtrace — deterministic no matter which domain hit it
     first.

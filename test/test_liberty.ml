@@ -238,32 +238,32 @@ let test_fault_injection_fallback () =
 let test_parallel_determinism () =
   (* The tentpole guarantee: [library ~jobs:n] is identical to
      [~jobs:1] — entries, tables, and the build report are assembled in
-     input order, never completion order.  Mixed cell kinds (combinational
-     and flip-flop) exercise both grid fan-out shapes. *)
+     input order, never claim or completion order.  Mixed cell kinds
+     (combinational, multi-stage, flip-flop) exercise every grid shape and
+     give the longest-first claim order distinct costs to sort. *)
   let cells =
-    List.map Catalog.find_exn [ "INV_X1"; "NAND2_X1"; "DFF_X1" ]
+    List.map Catalog.find_exn [ "INV_X1"; "NAND2_X1"; "FA_X1"; "DFF_X1" ]
   in
-  let build jobs =
+  let build ?(cells = cells) jobs =
     Characterize.library_report ~cells ~jobs ~axes:Axes.coarse
       ~name:"determinism" ~scenario:(Scenario.scenario Scenario.worst_case) ()
   in
-  let lib1, rep1 = build 1 in
-  let lib4, rep4 = build 4 in
-  Alcotest.(check (list string)) "same entry order"
-    (Library.names lib1) (Library.names lib4);
-  List.iter2
-    (fun (a : Library.entry) (b : Library.entry) ->
-      let name = a.Library.indexed_name in
-      Alcotest.(check string) "entry name" name b.Library.indexed_name;
-      Alcotest.(check (float 0.)) (name ^ ": setup") a.Library.setup_time
-        b.Library.setup_time;
-      Alcotest.(check bool) (name ^ ": pin caps") true
-        (a.Library.pin_caps = b.Library.pin_caps);
-      (* Arc records are plain data (tables are float arrays), so
-         structural equality is exact table-for-table identity. *)
-      Alcotest.(check bool) (name ^ ": identical arcs") true
-        (a.Library.arcs = b.Library.arcs))
-    (Library.entries lib1) (Library.entries lib4);
+  let same_entries what ea eb =
+    List.iter2
+      (fun (a : Library.entry) (b : Library.entry) ->
+        let name = what ^ " " ^ a.Library.indexed_name in
+        Alcotest.(check string) "entry name" a.Library.indexed_name
+          b.Library.indexed_name;
+        Alcotest.(check (float 0.)) (name ^ ": setup") a.Library.setup_time
+          b.Library.setup_time;
+        Alcotest.(check bool) (name ^ ": pin caps") true
+          (a.Library.pin_caps = b.Library.pin_caps);
+        (* Arc records are plain data (tables are float arrays), so
+           structural equality is exact table-for-table identity. *)
+        Alcotest.(check bool) (name ^ ": identical arcs") true
+          (a.Library.arcs = b.Library.arcs))
+      ea eb
+  in
   (* Wall-time fields (sim_seconds / grid_seconds) are measurements, not
      results — everything else in the accounting must be bit-identical. *)
   let project (s : Characterize.arc_stats) =
@@ -274,9 +274,39 @@ let test_parallel_determinism () =
        s.Characterize.predicted),
       (s.Characterize.repairs, s.Characterize.errors, s.Characterize.prov) )
   in
-  Alcotest.(check bool) "identical reports, same stats order" true
-    (List.map project rep1.Characterize.stats
-    = List.map project rep4.Characterize.stats)
+  let stats (rep : Characterize.report) =
+    List.map project rep.Characterize.stats
+  in
+  let lib1, rep1 = build 1 in
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "jobs=%d" jobs in
+      let lib, rep = build jobs in
+      Alcotest.(check (list string)) (what ^ ": same entry order")
+        (Library.names lib1) (Library.names lib);
+      same_entries what (Library.entries lib1) (Library.entries lib);
+      Alcotest.(check bool) (what ^ ": identical reports, same stats order")
+        true
+        (stats rep1 = stats rep))
+    [ 2; 3; 4 ];
+  (* Reversing the cells reverses the entries and leaves each entry and
+     each cell's report stats unchanged: the cost order of the work list
+     never leaks into the result. *)
+  let lib_rev, rep_rev = build ~cells:(List.rev cells) 2 in
+  Alcotest.(check (list string)) "reversed cells: reversed entry order"
+    (List.rev (Library.names lib1)) (Library.names lib_rev);
+  same_entries "reversed" (Library.entries lib1)
+    (List.rev (Library.entries lib_rev));
+  List.iter
+    (fun (c : Cell.t) ->
+      let of_cell rep =
+        List.filter
+          (fun ((cell, _, _, _), _, _) -> cell = c.Cell.name)
+          (stats rep)
+      in
+      Alcotest.(check bool) (c.Cell.name ^ ": same report stats") true
+        (of_cell rep1 = of_cell rep_rev))
+    cells
 
 let test_descriptive_lookup_errors () =
   let lib = Lazy.force Fixtures.fresh_library in

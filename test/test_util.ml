@@ -236,6 +236,20 @@ let test_pool_nested () =
 let test_pool_default_jobs () =
   Alcotest.(check bool) "default is at least 1" true (Pool.default_jobs () >= 1)
 
+(* Spins until [ready ()] or the absolute [deadline] (Unix time) passes;
+   returns whether [ready ()] held.  Pool tests use it to wait for other
+   domains without depending on scheduling luck. *)
+let wait_until ~deadline ready =
+  let rec go () =
+    if ready () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Domain.cpu_relax ();
+      go ()
+    end
+  in
+  go ()
+
 let test_pool_reusable_after_failure () =
   (* Regression: a worker raising mid-drain used to leave the pool's
      nesting latch set and domains unjoined, so the next map on the same
@@ -248,12 +262,47 @@ let test_pool_reusable_after_failure () =
   Alcotest.(check (list int)) "next map is correct"
     (List.map succ (range 16))
     (Pool.map ~jobs:4 succ (range 16));
-  let ids =
-    Pool.map ~jobs:4 (fun _ -> (Domain.self () :> int)) (range 16)
+  (* Rendezvous: every item waits until two distinct domains have claimed
+     items.  A latch left set would run the map sequentially on this
+     domain, and the first item would wait out the deadline. *)
+  let claimers = Atomic.make [] in
+  let rec claim id =
+    let cur = Atomic.get claimers in
+    if not (List.mem id cur) then
+      if not (Atomic.compare_and_set claimers cur (id :: cur)) then claim id
   in
-  let distinct = List.sort_uniq compare ids in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let met =
+    Pool.map ~jobs:4
+      (fun _ ->
+        claim (Domain.self () :> int);
+        wait_until ~deadline (fun () -> List.length (Atomic.get claimers) >= 2))
+      (range 16)
+  in
   Alcotest.(check bool) "next map runs on several domains again" true
-    (List.length distinct > 1)
+    (List.for_all Fun.id met)
+
+let test_pool_balances_skewed_input () =
+  (* Item 0 blocks until every other item has finished.  With item-by-item
+     claiming the other domain drains the rest meanwhile; a pool that
+     pre-assigned contiguous chunks would leave items 1..3 queued behind
+     item 0 on the same domain, and the wait would time out. *)
+  let n = 8 in
+  let finished = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let saw_all = ref false in
+  let f i =
+    if i = 0 then
+      saw_all :=
+        wait_until ~deadline (fun () -> Atomic.get finished = n - 1)
+    else Atomic.incr finished;
+    (i * i) + 1
+  in
+  let got = Pool.map ~jobs:2 f (range n) in
+  Alcotest.(check bool) "item 0 saw every other item finish" true !saw_all;
+  Alcotest.(check (list int)) "equals List.map"
+    (List.map (fun i -> (i * i) + 1) (range n))
+    got
 
 (* ------------------------------ backoff ------------------------------ *)
 
@@ -422,6 +471,7 @@ let suite =
     ("pool: default jobs", `Quick, test_pool_default_jobs);
     ("pool: reusable after a worker raises", `Quick,
      test_pool_reusable_after_failure);
+    ("pool: balances a skewed input", `Quick, test_pool_balances_skewed_input);
     ("backoff: capped exponential delays", `Quick, test_backoff_delay);
     ("backoff: deterministic jitter", `Quick, test_backoff_jitter_deterministic);
     ("backoff: exact schedule", `Quick, test_with_backoff_schedule);
