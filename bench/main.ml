@@ -12,12 +12,13 @@
      bench/main.exe --quick         reduced design set / image size
      bench/main.exe fig1 fig5a ...  run selected experiments
      bench/main.exe smoke           tiny-grid smoke scenario (seconds, no cache)
-     bench/main.exe scaling         jobs=1 vs jobs=N characterization scaling
-     bench/main.exe serve           service round-trip throughput (queries/sec)
+     bench/main.exe kernel          transient-engine throughput and solver
+                                    effort over the paper grid
      bench/main.exe surrogate       surrogate vs full-sweep characterization
                                     (gates speedup and predicted-point error)
      bench/main.exe micro           Bechamel microbenchmarks only
-     bench/main.exe --jobs N        worker domains for scaling (default: auto)
+     bench/main.exe --jobs N        worker domains for the figure runs
+                                    (default: auto)
      bench/main.exe --bench-out F   write the report to F (default BENCH.json)
      bench/main.exe --ledger DIR    append one run-ledger record per scenario
                                     (inspect with `relaware obs`)
@@ -159,112 +160,6 @@ let kernel () =
      %!"
     totals.Aging_liberty.Characterize.points wall (per wall points)
     (per points steps) (per points jacs) (per steps newtons)
-
-(* ------------------------- scaling scenario ------------------------- *)
-
-(* The same small characterization run at jobs=1 and jobs=N: the two
-   libraries must be entry-for-entry identical (the pool's determinism
-   guarantee) and both wall times land in BENCH.json, so the recorded
-   scenario seconds capture the parallel speedup. *)
-let scaling_build ~jobs =
-  let cells =
-    List.map Aging_cells.Catalog.find_exn
-      [ "INV_X1"; "NAND2_X1"; "NOR2_X1"; "BUF_X1" ]
-  in
-  let scenario =
-    Aging_physics.Scenario.scenario Aging_physics.Scenario.worst_case
-  in
-  Aging_liberty.Characterize.library ~jobs ~cells
-    ~axes:Aging_liberty.Axes.coarse ~name:"scaling" ~scenario ()
-
-(* Entry equality field by field: [Library.entry] holds the catalog
-   [Cell.t] (which contains closures, so whole-entry [=] would raise);
-   the characterized payload — names, arcs with their NLDM tables, pin
-   caps, setup times — is all plain data. *)
-let libraries_equal a b =
-  let module L = Aging_liberty.Library in
-  List.length (L.entries a) = List.length (L.entries b)
-  && List.for_all2
-       (fun (ea : L.entry) (eb : L.entry) ->
-         ea.L.indexed_name = eb.L.indexed_name
-         && ea.L.setup_time = eb.L.setup_time
-         && ea.L.pin_caps = eb.L.pin_caps
-         && ea.L.arcs = eb.L.arcs)
-       (L.entries a) (L.entries b)
-
-let scaling ~jobs ~scenario =
-  let seq = ref None and par = ref None in
-  let t0 = Span.elapsed () in
-  scenario "scaling-jobs1" (fun () -> seq := Some (scaling_build ~jobs:1));
-  let t1 = Span.elapsed () in
-  scenario "scaling-jobsN" (fun () -> par := Some (scaling_build ~jobs));
-  let t2 = Span.elapsed () in
-  match (!seq, !par) with
-  | Some a, Some b when libraries_equal a b ->
-    Printf.printf "scaling: jobs=%d identical to jobs=1; speedup %.2fx\n%!"
-      jobs ((t1 -. t0) /. Float.max 1e-9 (t2 -. t1))
-  | Some _, Some _ ->
-    prerr_endline "scaling: parallel library differs from sequential build";
-    exit 1
-  | _ -> assert false
-
-(* ------------------------- serve scenario ------------------------- *)
-
-(* Sustained service throughput: an in-process daemon (no chaos, no
-   corrupt frames — the robustness soak lives in @serve-smoke) hammered
-   by concurrent backoff clients for a fixed window.  The sustained
-   queries/sec lands in the scenario's ledger record as QoR. *)
-let serve_bench () =
-  let module Serve = Aging_serve in
-  let path = Printf.sprintf "bench-serve-%d.sock" (Unix.getpid ()) in
-  let queries =
-    Serve.Queries.create ~axes:Aging_liberty.Axes.coarse
-      ~cells:[ Aging_cells.Catalog.find_exn "INV_X1" ] ()
-  in
-  let cfg =
-    { Serve.Server.default_config with addr = `Unix path; workers = 2 }
-  in
-  let server =
-    Serve.Server.start ~handler:(Serve.Queries.handle queries) cfg
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Server.stop server;
-      Serve.Server.await server;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let report =
-        Serve.Soak.run
-          {
-            (Serve.Soak.default ~addr:(`Unix path)) with
-            clients = 4;
-            duration_s = 1.0;
-            deadline_s = 0.5;
-            corrupt_rate = 0.;
-            heavy_rate = 0.;
-            seed = 7;
-          }
-      in
-      if not report.Serve.Soak.server_alive then begin
-        prerr_endline "serve: daemon unresponsive after the bench window";
-        exit 1
-      end;
-      Run_ledger.note_qor "serve.qps" report.Serve.Soak.qps;
-      (* Tail latency rides the same record, so a ledger diff gates both
-         throughput and responsiveness. *)
-      Option.iter
-        (Run_ledger.note_qor "serve.p50_ms")
-        report.Serve.Soak.lat_p50_ms;
-      Option.iter
-        (Run_ledger.note_qor "serve.p95_ms")
-        report.Serve.Soak.lat_p95_ms;
-      Printf.printf "serve: %d ok / %d attempts, %.0f q/s%s\n%!"
-        report.Serve.Soak.ok report.Serve.Soak.attempts
-        report.Serve.Soak.qps
-        (match (report.Serve.Soak.lat_p50_ms, report.Serve.Soak.lat_p95_ms) with
-        | Some p50, Some p95 ->
-          Printf.sprintf ", total latency p50/p95 %.2f/%.2f ms" p50 p95
-        | _ -> ""))
 
 (* ------------------------- surrogate scenario ------------------------- *)
 
@@ -643,7 +538,6 @@ let () =
     (* One ledger record per scenario: tool "bench", subcommand = scenario
        name, spans restricted to that scenario's root, wall time from the
        monotonic clock, scenario seconds as QoR. *)
-    Runtime.start_global ();
     let scenario name f =
       let started_at = Span.now () in
       let t0 = Span.elapsed () in
@@ -683,8 +577,6 @@ let () =
       match args with
       | [ "smoke" ] -> ("smoke", [ "smoke" ])
       | [ "kernel" ] -> ("kernel", [ "kernel" ])
-      | [ "scaling" ] -> ("scaling", [ "scaling-jobs1"; "scaling-jobsN" ])
-      | [ "serve" ] -> ("serve", [ "serve" ])
       | [ "surrogate" ] -> ("surrogate", [ "surrogate" ])
       | [] -> ((if !quick then "quick" else "full"), all_figures)
       | names -> ((if !quick then "quick" else "full"), names)
@@ -692,8 +584,6 @@ let () =
     Printf.printf "reliability-aware design reproduction — %s mode\n\n%!" mode;
     if mode = "smoke" then scenario "smoke" smoke
     else if mode = "kernel" then scenario "kernel" kernel
-    else if mode = "scaling" then scaling ~jobs:!jobs ~scenario
-    else if mode = "serve" then scenario "serve" serve_bench
     else if mode = "surrogate" then scenario "surrogate" surrogate_bench
     else begin
       let t = Experiments.create ~quick:!quick ~jobs:!jobs () in

@@ -5,11 +5,10 @@
      report        static timing of a benchmark design, fresh and aged
      guardband     guardband estimation (full / vth-only / single-opc / cp-only)
      synth         traditional vs aging-aware synthesis comparison
+     export        write Verilog netlists, aged SDF files or .lib libraries
      experiment    run one of the paper's figure reproductions
-     obs           inspect run-ledger records: report / trace / diff
-     serve         resident aging-analysis daemon (deadlines, backpressure)
-     query         client with capped, seeded exponential backoff
-     soak          chaos soak: concurrent clients vs an injected-fault daemon
+     check         property-based differential oracles with replayable seeds
+     obs           inspect run-ledger records: report/trace/diff/export/history
 *)
 
 open Cmdliner
@@ -307,9 +306,6 @@ let characterize_cmd =
   let run tele corner years axes cache jobs cells out report fault_rate
       fault_seed surrogate surrogate_tol surrogate_sample =
     with_telemetry ~cmd:"characterize" tele @@ fun () ->
-    (* Library builds can run for minutes; keep the runtime gauges moving
-       so the ledger record (and any scrape) sees live GC/RSS numbers. *)
-    Obs.Runtime.start_global ();
     let backend =
       if fault_rate > 0. then
         Characterize.Faulty
@@ -653,7 +649,8 @@ let check_cmd =
 (* ------------------------------- obs ------------------------------- *)
 
 (* Readers over the run ledger: [obs report] (one record as a profile),
-   [obs trace] (Chrome trace export) and [obs diff] (regression gate).
+   [obs trace] (Chrome trace export), [obs diff] (regression gate),
+   [obs export] (OpenMetrics text) and [obs history] (drift over runs).
    These take their own --ledger (a place to read, default "runs") and do
    not go through [with_telemetry] — inspecting the ledger should never
    append to it. *)
@@ -796,8 +793,8 @@ let obs_trace_cmd =
     Arg.(value & opt_all string []
          & info [ "require" ] ~docv:"NAME"
              ~doc:"Fail (exit 1) unless some recorded span's name starts \
-                   with $(docv) (e.g. $(b,serve.req) asserts request-level \
-                   spans).  Repeatable; used by smoke gates.")
+                   with $(docv) (e.g. $(b,characterize.library)).  \
+                   Repeatable; used by smoke gates.")
   in
   let run dir sel out required =
     let r = select_run (load_ledger dir) sel in
@@ -1005,60 +1002,6 @@ let obs_diff_cmd =
               ~doc:"Candidate record (default $(b,-1), the newest)."
           $ tol_arg $ allow_missing_arg)
 
-(* Pretty-print a flight-recorder dump (JSONL from `relaware serve
-   --flight-dump` + SIGQUIT, or a dump_flight query).  Timestamps render
-   relative to the first surviving event — the absolute monotonic origin
-   is process-local and meaningless to a reader. *)
-let obs_flight_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"Flight-recorder JSONL dump.")
-  in
-  let require_arg =
-    Arg.(value & opt_all string []
-         & info [ "require" ] ~docv:"KIND"
-             ~doc:"Fail (exit 1) unless an event of kind $(docv) (e.g. \
-                   $(b,worker.death)) is present.  Repeatable; used by \
-                   smoke gates.")
-  in
-  let run file required =
-    match Obs.Flightrec.load_jsonl file with
-    | Error msg -> failwith (file ^ ": " ^ msg)
-    | Ok [] -> failwith (file ^ ": empty flight dump")
-    | Ok events ->
-      let t0 =
-        match events with e :: _ -> e.Obs.Flightrec.t_mono | [] -> 0.
-      in
-      let field_str (k, v) = k ^ "=" ^ Obs.Json.to_string v in
-      Tablefmt.print
-        ~align:[ Tablefmt.Right; Tablefmt.Right; Tablefmt.Left; Tablefmt.Left ]
-        ~header:[ "seq"; "t+ms"; "kind"; "fields" ]
-        (List.map
-           (fun e ->
-             [ string_of_int e.Obs.Flightrec.seq;
-               Printf.sprintf "%.2f"
-                 ((e.Obs.Flightrec.t_mono -. t0) *. 1e3);
-               e.Obs.Flightrec.kind;
-               String.concat " "
-                 (List.map field_str e.Obs.Flightrec.fields) ])
-           events);
-      let kinds =
-        List.sort_uniq compare
-          (List.map (fun e -> e.Obs.Flightrec.kind) events)
-      in
-      Printf.printf "\n%d event(s), kinds: %s\n" (List.length events)
-        (String.concat ", " kinds);
-      List.iter
-        (fun kind ->
-          if not (List.mem kind kinds) then
-            failwith
-              (Printf.sprintf "%s: no event of kind %S" file kind))
-        required
-  in
-  Cmd.v
-    (Cmd.info "flight" ~doc:"Pretty-print a flight-recorder dump")
-    Term.(const run $ file_arg $ require_arg)
-
 (* Export one record's stored metrics snapshot in a machine-readable
    format — OpenMetrics text so archived runs can be pushed at anything
    that speaks Prometheus, or the raw stored JSON. *)
@@ -1122,8 +1065,8 @@ let obs_history_cmd =
     Arg.(value & opt (some string) None
          & info [ "cmd" ] ~docv:"SUB"
              ~doc:"Consider only records of this subcommand (e.g. \
-                   $(b,soak)), so series are not polluted by unrelated \
-                   runs sharing the ledger.")
+                   $(b,characterize)), so series are not polluted by \
+                   unrelated runs sharing the ledger.")
   in
   let gate_arg =
     Arg.(value & flag
@@ -1224,662 +1167,9 @@ let obs_cmd =
   Cmd.group
     (Cmd.info "obs"
        ~doc:"Inspect run-ledger records: report, trace export, regression \
-             diff, flight-recorder dumps, metric export, drift history")
-    [ obs_report_cmd; obs_trace_cmd; obs_diff_cmd; obs_flight_cmd;
-      obs_export_cmd; obs_history_cmd ]
-
-(* ------------------------ serve / query / soak ------------------------ *)
-
-module Serve = Aging_serve
-
-let socket_arg =
-  Arg.(value & opt string "relaware.sock"
-       & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix domain socket path (limit ~100 chars).")
-
-let port_arg =
-  Arg.(value & opt (some int) None
-       & info [ "port" ] ~docv:"PORT"
-           ~doc:"Use loopback TCP port $(docv) instead of the unix socket.")
-
-let addr_of socket port : Serve.Client.addr =
-  match port with Some p -> `Tcp p | None -> `Unix socket
-
-let chaos_term =
-  let kill =
-    Arg.(value & opt float 0.
-         & info [ "chaos-kill" ] ~docv:"RATE"
-             ~doc:"Fraction of requests that kill their worker domain \
-                   (supervisor restart test).")
-  in
-  let crash =
-    Arg.(value & opt float 0.
-         & info [ "chaos-crash" ] ~docv:"RATE"
-             ~doc:"Fraction of requests whose handler raises (typed \
-                   $(b,internal) isolation test).")
-  in
-  let slow =
-    Arg.(value & opt float 0.
-         & info [ "chaos-slow" ] ~docv:"RATE"
-             ~doc:"Fraction of requests stalled before execution \
-                   (deadline and backpressure test).")
-  in
-  let slow_s =
-    Arg.(value & opt float 0.1
-         & info [ "chaos-slow-s" ] ~docv:"S" ~doc:"Stall length in seconds.")
-  in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "chaos-seed" ] ~docv:"N"
-             ~doc:"Chaos decision seed: a fixed seed sabotages the same \
-                   request ids.")
-  in
-  Term.(const (fun kill_rate crash_rate slow_rate slow_s seed ->
-            Serve.Chaos.validated
-              { Serve.Chaos.kill_rate; crash_rate; slow_rate; slow_s; seed })
-        $ kill $ crash $ slow $ slow_s $ seed)
-
-let workers_arg =
-  Arg.(value & opt int 2
-       & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (>= 1).")
-
-let queue_cap_arg =
-  Arg.(value & opt int 64
-       & info [ "queue-cap" ] ~docv:"N"
-           ~doc:"Bounded request queue; a full queue sheds with a typed \
-                 $(b,overloaded) refusal.")
-
-let deadline_opt_arg =
-  Arg.(value & opt (some float) None
-       & info [ "deadline" ] ~docv:"S"
-           ~doc:"Default per-request deadline in seconds (requests may \
-                 override); expired requests get a typed $(b,timeout).")
-
-let drain_arg =
-  Arg.(value & opt float 5.
-       & info [ "drain-timeout" ] ~docv:"S"
-           ~doc:"On SIGTERM/SIGINT: finish in-flight work for up to \
-                 $(docv) seconds before stopping.")
-
-let slow_ms_arg =
-  Arg.(value & opt (some float) None
-       & info [ "slow-ms" ] ~docv:"MS"
-           ~doc:"Warn-log requests slower than $(docv) ms end to end, with \
-                 trace id and queue/exec phase breakdown (default: off).")
-
-let flight_dump_arg =
-  Arg.(value & opt (some string) None
-       & info [ "flight-dump" ] ~docv:"FILE"
-           ~doc:"Dump the flight recorder (ring buffer of request/worker/\
-                 chaos events) to $(docv) as JSONL on SIGQUIT and on crash. \
-                 Inspect with $(b,relaware obs flight).")
-
-let flight_cap_arg =
-  Arg.(value & opt (some int) None
-       & info [ "flight-cap" ] ~docv:"N"
-           ~doc:"Resize the flight-recorder ring to hold $(docv) events \
-                 (default 4096, or $(b,AGING_FLIGHT_CAP)).  A small cap \
-                 keeps only the newest events — cheap always-on forensics.")
-
-let apply_flight_cap cap =
-  Option.iter
-    (fun n ->
-      if n <= 0 then failwith "--flight-cap must be positive";
-      Obs.Flightrec.set_capacity Obs.Flightrec.global n)
-    cap
-
-let metrics_port_arg =
-  Arg.(value & opt (some int) None
-       & info [ "metrics-port" ] ~docv:"PORT"
-           ~doc:"Serve the OpenMetrics exposition on \
-                 http://127.0.0.1:$(docv)/metrics (plus /health); \
-                 $(b,0) picks an ephemeral port (logged at startup).")
-
-let stall_after_arg =
-  Arg.(value & opt (some float) (Some 5.)
-       & info [ "stall-after" ] ~docv:"S"
-           ~doc:"Watchdog budget: flag a worker stalled when one job \
-                 executes longer than $(docv) seconds (flight event, \
-                 $(b,serve.worker.stalled) counter, $(b,health) verdict). \
-                 Negative disables the watchdog.")
-
-let rss_limit_arg =
-  Arg.(value & opt (some float) None
-       & info [ "rss-limit-mb" ] ~docv:"MB"
-           ~doc:"Report $(b,unhealthy) when resident set size exceeds \
-                 $(docv) MB.")
-
-let server_config_of ~socket ~port ~workers ~queue_cap ~deadline ~drain ~chaos
-    ~slow_ms ~metrics_port ~stall_after ~rss_limit =
-  let stall_after_s =
-    match stall_after with Some s when s <= 0. -> None | s -> s
-  in
-  {
-    Serve.Server.addr = (addr_of socket port :> [ `Unix of string | `Tcp of int ]);
-    workers;
-    queue_cap;
-    default_deadline_s = deadline;
-    drain_timeout_s = drain;
-    max_frame = Serve.Frame.default_max_frame;
-    chaos;
-    slow_ms;
-    metrics_port;
-    stall_after_s;
-    rss_limit_mb = rss_limit;
-  }
-
-let note_serve_qor () =
-  List.iter
-    (fun name ->
-      Option.iter (Run_ledger.note_qor name) (Obs.Metrics.value_by_name name))
-    [ "serve.requests"; "serve.replies_ok"; "serve.refused_overloaded";
-      "serve.refused_timeout"; "serve.worker_restarts"; "serve.bad_frames" ]
-
-let serve_cmd =
-  let run tele socket port workers queue_cap deadline drain chaos slow_ms
-      flight_dump flight_cap metrics_port stall_after rss_limit axes years
-      cache jobs cells =
-    with_telemetry ~cmd:"serve" tele @@ fun () ->
-    apply_flight_cap flight_cap;
-    Obs.Runtime.start_global ();
-    let go () =
-      let queries =
-        Serve.Queries.create ~axes ~years ~cache_dir:cache ~jobs
-          ?cells:(cells_of cells) ()
-      in
-      let cfg =
-        server_config_of ~socket ~port ~workers ~queue_cap ~deadline ~drain
-          ~chaos ~slow_ms ~metrics_port ~stall_after ~rss_limit
-      in
-      let server =
-        Serve.Server.start ~handler:(Serve.Queries.handle queries) cfg
-      in
-      Option.iter
-        (fun p ->
-          Obs.Log.infof "serve" "metrics on http://127.0.0.1:%d/metrics" p)
-        (Serve.Server.metrics_port server);
-      Serve.Server.install_signal_handlers ?flight_dump server;
-      Serve.Server.await server;
-      note_serve_qor ()
-    in
-    match go () with
-    | () -> ()
-    | exception e ->
-      (* Post-mortem: the ring survives to the dump even when serve dies. *)
-      Option.iter Serve.Server.dump_flight_to flight_dump;
-      raise e
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the resident aging-analysis daemon (drains gracefully on \
-             SIGTERM/SIGINT; SIGQUIT dumps the flight recorder)")
-    Term.(const run $ telemetry_term $ socket_arg $ port_arg $ workers_arg
-          $ queue_cap_arg $ deadline_opt_arg $ drain_arg $ chaos_term
-          $ slow_ms_arg $ flight_dump_arg $ flight_cap_arg $ metrics_port_arg
-          $ stall_after_arg $ rss_limit_arg
-          $ axes_arg $ years_arg $ cache_arg $ jobs_arg $ cells_arg)
-
-let query_cmd =
-  let op_arg =
-    let ops =
-      [ ("ping", `Ping); ("stats", `Stats); ("health", `Health);
-        ("shutdown", `Shutdown); ("flight", `Flight);
-        ("guardband", `Guardband); ("delay", `Delay); ("sleep", `Sleep) ]
-    in
-    Arg.(required & pos 0 (some (enum ops)) None
-         & info [] ~docv:"OP"
-             ~doc:"One of ping, stats, health (watchdog/saturation/RSS \
-                   verdict with machine-readable reasons), shutdown, \
-                   flight (on-demand flight-recorder dump), guardband, \
-                   delay, sleep.")
-  in
-  let design_opt =
-    let all = [ "DSP"; "FFT"; "RISC-6P"; "RISC-5P"; "VLIW"; "DCT"; "IDCT" ] in
-    Arg.(value & opt (some (enum (List.map (fun d -> (d, d)) all))) None
-         & info [ "design" ] ~docv:"NAME" ~doc:"Design for $(b,guardband).")
-  in
-  let cell_opt =
-    Arg.(value & opt (some string) None
-         & info [ "cell" ] ~docv:"NAME" ~doc:"Catalog cell for $(b,delay).")
-  in
-  let slew_opt =
-    Arg.(value & opt (some float) None
-         & info [ "slew" ] ~docv:"S" ~doc:"Input slew for $(b,delay).")
-  in
-  let load_opt =
-    Arg.(value & opt (some float) None
-         & info [ "load" ] ~docv:"F" ~doc:"Output load for $(b,delay).")
-  in
-  let seconds_arg =
-    Arg.(value & opt float 0.1
-         & info [ "seconds" ] ~docv:"S" ~doc:"Length of a $(b,sleep) request.")
-  in
-  let attempts_arg =
-    Arg.(value & opt int Aging_util.Retry.default_backoff.Aging_util.Retry.max_attempts
-         & info [ "attempts" ] ~docv:"N"
-             ~doc:"Retry budget: capped exponential backoff over at most \
-                   $(docv) attempts.")
-  in
-  let budget_arg =
-    Arg.(value & opt float Aging_util.Retry.default_backoff.Aging_util.Retry.budget
-         & info [ "budget" ] ~docv:"S"
-             ~doc:"Total retry deadline across all attempts and sleeps.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 7
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Backoff jitter seed; a fixed seed gives a bit-identical \
-                   retry schedule.")
-  in
-  let run tele socket port op design cell slew load seconds corner deadline
-      attempts budget seed =
-    with_telemetry ~cmd:"query" tele @@ fun () ->
-    let req =
-      match op with
-      | `Ping -> Serve.Protocol.Ping
-      | `Stats -> Serve.Protocol.Stats
-      | `Health -> Serve.Protocol.Health
-      | `Shutdown -> Serve.Protocol.Shutdown
-      | `Flight -> Serve.Protocol.Dump_flight
-      | `Sleep -> Serve.Protocol.Sleep seconds
-      | `Guardband -> begin
-        match design with
-        | Some design -> Serve.Protocol.Guardband { design; corner }
-        | None -> failwith "query guardband: --design is required"
-      end
-      | `Delay -> begin
-        match cell with
-        | Some cell -> Serve.Protocol.Delay { cell; corner; slew; load }
-        | None -> failwith "query delay: --cell is required"
-      end
-    in
-    let backoff =
-      { Aging_util.Retry.default_backoff with max_attempts = attempts; budget }
-    in
-    let rng = Aging_util.Rng.create (Int64.of_int seed) in
-    let outcome =
-      Serve.Client.request ~backoff ~rng ?deadline_s:deadline
-        (addr_of socket port) req
-    in
-    (match Aging_util.Retry.errors outcome with
-    | [] -> ()
-    | errors ->
-      List.iter
-        (fun e ->
-          Obs.Log.warnf "query" "attempt failed: %s"
-            (Serve.Client.error_to_string e))
-        errors);
-    match Aging_util.Retry.succeeded outcome with
-    | Some data ->
-      print_endline (Obs.Json.to_string ~pretty:true data);
-      Run_ledger.note_qor "query.attempts"
-        (float_of_int (Aging_util.Retry.attempts outcome))
-    | None -> failwith "query failed: retry budget exhausted"
-  in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:"Query a running daemon (capped exponential backoff with \
-             seeded jitter)")
-    Term.(const run $ telemetry_term $ socket_arg $ port_arg $ op_arg
-          $ design_opt $ cell_opt $ slew_opt $ load_opt $ seconds_arg
-          $ corner_arg $ deadline_opt_arg $ attempts_arg $ budget_arg
-          $ seed_arg)
-
-(* The soak forks the daemon into a child process before this process
-   spawns any domain or thread, so the parent is a pure client fleet and
-   the child's SIGTERM drain is exercised across a real process
-   boundary. *)
-let soak_cmd =
-  let clients_arg =
-    Arg.(value & opt int 8
-         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client threads.")
-  in
-  let duration_arg =
-    Arg.(value & opt float 2.
-         & info [ "duration" ] ~docv:"S" ~doc:"Soak length in seconds.")
-  in
-  let soak_deadline_arg =
-    Arg.(value & opt float 0.25
-         & info [ "request-deadline" ] ~docv:"S"
-             ~doc:"Per-request deadline during the soak.")
-  in
-  let soak_seed_arg =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~docv:"N" ~doc:"Workload and jitter seed.")
-  in
-  let corrupt_arg =
-    Arg.(value & opt float 0.05
-         & info [ "corrupt-rate" ] ~docv:"RATE"
-             ~doc:"Fraction of iterations sending a deliberately corrupt \
-                   frame.")
-  in
-  let heavy_arg =
-    Arg.(value & opt float 0.15
-         & info [ "heavy-rate" ] ~docv:"RATE"
-             ~doc:"Fraction of iterations issuing a worker-occupying sleep.")
-  in
-  let attach_arg =
-    Arg.(value & flag
-         & info [ "attach" ]
-             ~doc:"Soak an already-running daemon at --socket/--port \
-                   instead of forking one.")
-  in
-  let server_obs_arg =
-    Arg.(value & opt (some string) None
-         & info [ "server-obs" ] ~docv:"DIR"
-             ~doc:"Record the forked daemon's own telemetry: span recording \
-                   on (per-request phase spans) and a $(b,serve) ledger \
-                   record appended to $(docv) when the daemon drains.  \
-                   Export with $(b,relaware obs trace).")
-  in
-  let expect_stall_arg =
-    Arg.(value & flag
-         & info [ "expect-stall" ]
-             ~doc:"Fail unless the post-storm $(b,health) verdict proves \
-                   the watchdog flagged at least one stalled worker \
-                   (cumulative $(b,serve.worker.stalled) > 0).  Used by \
-                   the health smoke gate with heavy $(b,--chaos-slow).")
-  in
-  let run tele socket port attach clients duration deadline seed corrupt
-      heavy workers queue_cap drain chaos slow_ms flight_dump flight_cap
-      metrics_port stall_after expect_stall server_obs =
-    with_telemetry ~cmd:"soak" tele @@ fun () ->
-    apply_flight_cap flight_cap;
-    (match metrics_port with
-    | Some 0 ->
-      failwith
-        "soak: --metrics-port 0 (ephemeral) is not scrapeable from the \
-         parent; pass a concrete port"
-    | _ -> ());
-    Obs.Runtime.start_global ();
-    let addr, child =
-      if attach then (addr_of socket port, None)
-      else begin
-        let path =
-          Printf.sprintf "%s/relaware-soak-%d.sock"
-            (Filename.get_temp_dir_name ()) (Unix.getpid ())
-        in
-        flush stdout;
-        flush stderr;
-        match Unix.fork () with
-        | 0 ->
-          (* Child: the daemon.  Exit without returning into cmdliner so
-             the parent's telemetry dump is not duplicated. *)
-          let code =
-            try
-              if server_obs <> None then Obs.Span.set_recording true;
-              Obs.Runtime.start_global ();
-              let started_at = Unix.gettimeofday () in
-              let m0 = Obs.Span.elapsed () in
-              let queries =
-                Serve.Queries.create ~axes:Axes.coarse
-                  ~cells:[ Aging_cells.Catalog.find_exn "INV_X1" ] ()
-              in
-              let cfg =
-                server_config_of ~socket:path ~port:None ~workers ~queue_cap
-                  ~deadline:None ~drain ~chaos ~slow_ms ~metrics_port
-                  ~stall_after ~rss_limit:None
-              in
-              let server =
-                Serve.Server.start ~handler:(Serve.Queries.handle queries) cfg
-              in
-              Serve.Server.install_signal_handlers ?flight_dump server;
-              Serve.Server.await server;
-              (* The daemon's own run record: serve.* QoR counters plus the
-                 per-request spans, appended from inside the child so the
-                 storm's server-side story survives the process. *)
-              Option.iter
-                (fun dir ->
-                  note_serve_qor ();
-                  let record =
-                    Run_ledger.capture ~tool:"relaware" ~subcommand:"serve"
-                      ~outcome:Run_ledger.Finished ~started_at
-                      ~wall_s:(Obs.Span.elapsed () -. m0) ()
-                  in
-                  ignore (Run_ledger.append ~dir record))
-                server_obs;
-              0
-            with e ->
-              Printf.eprintf "soak daemon died: %s\n%!" (Printexc.to_string e);
-              1
-          in
-          Stdlib.exit code
-        | pid -> ((`Unix path : Serve.Client.addr), Some pid)
-      end
-    in
-    (* Wait for the daemon to answer before unleashing the fleet. *)
-    let rec wait_ready tries =
-      if tries = 0 then failwith "soak: daemon did not come up"
-      else
-        match Serve.Client.connect addr with
-        | Ok conn ->
-          let alive =
-            Serve.Client.call ~deadline_s:1. conn Serve.Protocol.Ping
-          in
-          Serve.Client.close conn;
-          if Result.is_error alive then begin
-            Unix.sleepf 0.05;
-            wait_ready (tries - 1)
-          end
-        | Error _ ->
-          Unix.sleepf 0.05;
-          wait_ready (tries - 1)
-    in
-    wait_ready 100;
-    let cfg =
-      {
-        (Serve.Soak.default ~addr) with
-        clients;
-        duration_s = duration;
-        deadline_s = deadline;
-        seed;
-        corrupt_rate = corrupt;
-        heavy_rate = heavy;
-      }
-    in
-    let report = Serve.Soak.run cfg in
-    print_endline (Serve.Soak.report_to_string report);
-    Run_ledger.note_qor "soak.qps" report.Serve.Soak.qps;
-    Run_ledger.note_qor "soak.ok" (float_of_int report.Serve.Soak.ok);
-    Run_ledger.note_qor "soak.attempts"
-      (float_of_int report.Serve.Soak.attempts);
-    Run_ledger.note_qor "soak.exhausted"
-      (float_of_int report.Serve.Soak.exhausted);
-    (* Latency QoR rides the same ledger record as qps, so `obs diff`
-       gates both throughput and tail latency. *)
-    Option.iter (Run_ledger.note_qor "soak.p50_ms") report.Serve.Soak.lat_p50_ms;
-    Option.iter (Run_ledger.note_qor "soak.p95_ms") report.Serve.Soak.lat_p95_ms;
-    Run_ledger.note "soak.server_alive"
-      (Obs.Json.Bool report.Serve.Soak.server_alive);
-    (* The server's own runtime story and the health verdict ride the same
-       record.  Peak RSS is gated; the daemon's GC readings are notes only:
-       they depend on when the collector happens to run (the major count
-       is often 0, so any move breaches a relative tolerance). *)
-    Option.iter (Run_ledger.note_qor "soak.srv_hwm_mb")
-      report.Serve.Soak.srv_hwm_mb;
-    List.iter
-      (fun (name, v) ->
-        Option.iter (fun v -> Run_ledger.note name (Obs.Json.Float v)) v)
-      [
-        ("soak.srv_minor_words", report.Serve.Soak.srv_minor_words);
-        ("soak.srv_major_collections", report.Serve.Soak.srv_major_collections);
-      ];
-    Option.iter
-      (fun (h : Serve.Dash.health) ->
-        Run_ledger.note "soak.health_status" (Obs.Json.String h.Serve.Dash.status);
-        Run_ledger.note_qor "soak.stalled_total"
-          (float_of_int h.Serve.Dash.stalled_total))
-      report.Serve.Soak.health;
-    (* Live scrape validation: while the daemon still runs, GET /metrics
-       and parse the exposition — names legal, buckets cumulative — then
-       require the serve counters to actually be there. *)
-    Option.iter
-      (fun p ->
-        match Serve.Metrics_http.fetch ~port:p ~path:"/metrics" with
-        | Error msg -> failwith ("soak: /metrics scrape failed: " ^ msg)
-        | Ok body ->
-          match Obs.Openmetrics.parse body with
-          | Error msg -> failwith ("soak: scrape did not parse: " ^ msg)
-          | Ok samples ->
-            if Obs.Openmetrics.find samples "serve_requests_total" = None
-            then failwith "soak: scrape lacks serve_requests_total";
-            Printf.printf "scraped /metrics: %d samples, exposition valid\n"
-              (List.length samples);
-            Run_ledger.note_qor "soak.scrape_samples"
-              (float_of_int (List.length samples)))
-      metrics_port;
-    if expect_stall then begin
-      let stalls =
-        match report.Serve.Soak.health with
-        | Some h -> h.Serve.Dash.stalled_total
-        | None -> 0
-      in
-      if stalls = 0 then
-        failwith
-          "soak: --expect-stall, but health reports no stalled worker \
-           (serve.worker.stalled = 0)"
-      else Printf.printf "watchdog saw %d stall(s), as expected\n" stalls
-    end;
-    (* Post-storm forensics: SIGQUIT makes the (still running) child dump
-       its flight recorder; wait for the file so the drain below cannot
-       race the write. *)
-    (match (child, flight_dump) with
-    | Some pid, Some file ->
-      Unix.kill pid Sys.sigquit;
-      let deadline = Unix.gettimeofday () +. 5. in
-      let rec wait_dump () =
-        if Sys.file_exists file then ()
-        else if Unix.gettimeofday () > deadline then
-          Obs.Log.warnf "soak" "daemon never wrote flight dump %s" file
-        else begin
-          Unix.sleepf 0.02;
-          wait_dump ()
-        end
-      in
-      wait_dump ()
-    | _ -> ());
-    let child_clean =
-      match child with
-      | None -> true
-      | Some pid ->
-        (* SIGTERM must drain the child gracefully: exit 0, promptly. *)
-        Unix.kill pid Sys.sigterm;
-        let deadline = Unix.gettimeofday () +. 20. in
-        let rec reap () =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ ->
-            if Unix.gettimeofday () > deadline then begin
-              Obs.Log.warnf "soak" "daemon ignored SIGTERM; killing";
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid);
-              false
-            end
-            else begin
-              Unix.sleepf 0.02;
-              reap ()
-            end
-          | _, Unix.WEXITED 0 -> true
-          | _, Unix.WEXITED c ->
-            Obs.Log.warnf "soak" "daemon exited %d" c;
-            false
-          | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-            Obs.Log.warnf "soak" "daemon killed by signal";
-            false
-        in
-        reap ()
-    in
-    Run_ledger.note "soak.child_clean" (Obs.Json.Bool child_clean);
-    if not report.Serve.Soak.server_alive then
-      failwith "soak: server unresponsive after the storm";
-    if report.Serve.Soak.ok = 0 then
-      failwith "soak: no request ever succeeded";
-    if not child_clean then failwith "soak: daemon did not drain cleanly"
-  in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:"Chaos soak: fork a daemon, hammer it with concurrent clients \
-             and injected faults, verify graceful degradation and drain")
-    Term.(const run $ telemetry_term $ socket_arg $ port_arg $ attach_arg
-          $ clients_arg $ duration_arg $ soak_deadline_arg $ soak_seed_arg
-          $ corrupt_arg $ heavy_arg $ workers_arg $ queue_cap_arg $ drain_arg
-          $ chaos_term $ slow_ms_arg $ flight_dump_arg $ flight_cap_arg
-          $ metrics_port_arg $ stall_after_arg $ expect_stall_arg
-          $ server_obs_arg)
-
-(* A reader, not a run: no telemetry wrapper, no ledger record — watching
-   a daemon should leave no artifacts of its own. *)
-let top_cmd =
-  let interval_arg =
-    Arg.(value & opt float 1.0
-         & info [ "interval" ] ~docv:"S" ~doc:"Seconds between polls.")
-  in
-  let count_arg =
-    Arg.(value & opt int 0
-         & info [ "count" ] ~docv:"N"
-             ~doc:"Render $(docv) snapshots then exit (0 = until \
-                   interrupted).  $(b,--count 1) is the scripting mode: one \
-                   plain snapshot, no screen clearing.")
-  in
-  let no_clear_arg =
-    Arg.(value & flag
-         & info [ "no-clear" ]
-             ~doc:"Do not clear the terminal between refreshes.")
-  in
-  let run socket port interval count no_clear =
-    let addr = addr_of socket port in
-    let fetch () =
-      match Serve.Client.connect addr with
-      | Error e -> Error (Serve.Client.error_to_string e)
-      | Ok conn ->
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close conn)
-          (fun () ->
-            match
-              Serve.Client.call ~deadline_s:2. conn Serve.Protocol.Stats
-            with
-            | Error e -> Error (Serve.Client.error_to_string e)
-            | Ok stats ->
-              (* Health is best-effort: an older daemon that predates the
-                 op still renders the rest of the dashboard. *)
-              let health =
-                match
-                  Serve.Client.call ~deadline_s:2. conn Serve.Protocol.Health
-                with
-                | Ok h -> Result.to_option (Serve.Dash.of_health_json h)
-                | Error _ -> None
-              in
-              Result.map
-                (fun snap -> (snap, health))
-                (Serve.Dash.of_stats_json stats))
-    in
-    let clear = not (no_clear || count = 1) in
-    let rec loop i prev =
-      match fetch () with
-      | Error msg -> failwith ("top: " ^ msg)
-      | Ok (snap, health) ->
-        let now = Obs.Span.elapsed () in
-        let qps =
-          Option.map
-            (fun (p, t0) -> Serve.Dash.qps ~prev:p ~dt:(now -. t0) snap)
-            prev
-        in
-        if clear then print_string "\027[H\027[2J";
-        print_string (Serve.Dash.render ?qps ?health snap);
-        flush stdout;
-        if count = 0 || i + 1 < count then begin
-          Unix.sleepf interval;
-          loop (i + 1) (Some (snap, now))
-        end
-    in
-    loop 0 None
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Live dashboard of a running daemon: qps, queue depth, \
-             in-flight, per-request-type latency percentiles, refusal and \
-             restart counters")
-    Term.(const run $ socket_arg $ port_arg $ interval_arg $ count_arg
-          $ no_clear_arg)
+             diff, metric export, drift history")
+    [ obs_report_cmd; obs_trace_cmd; obs_diff_cmd; obs_export_cmd;
+      obs_history_cmd ]
 
 let () =
   let info =
@@ -1890,5 +1180,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ characterize_cmd; report_cmd; guardband_cmd; synth_cmd; export_cmd;
-            experiment_cmd; check_cmd; obs_cmd; serve_cmd; query_cmd;
-            soak_cmd; top_cmd ]))
+            experiment_cmd; check_cmd; obs_cmd ]))

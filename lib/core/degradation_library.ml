@@ -30,9 +30,9 @@ type t = {
   cache_dir : string option;
   jobs : int;
   memo : (string, Library.t) Lru.t;
-      (* Bounded: a resident process ([relaware serve]) answers arbitrary
-         corners for years, and each characterized library is megabytes of
-         NLDM tables — an unbounded memo is a slow memory leak.  Keys are
+      (* Bounded: a long sweep (the guardband-monotone oracle, a full
+         corner grid) visits many corners, and each characterized library
+         is megabytes of NLDM tables.  Keys are
          the exact-lambda cache keys of [key], so eviction never aliases
          corners; an evicted library falls back to the disk cache (if
          configured) or a rebuild. *)

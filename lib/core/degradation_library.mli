@@ -27,8 +27,8 @@ val create :
     directories are created on the first write.
 
     [memo_cap] (default 256) bounds the in-memory library memo with an
-    LRU keyed by the exact-lambda cache keys — a resident process serving
-    arbitrary corners must not grow without limit.  Eviction is safe:
+    LRU keyed by the exact-lambda cache keys — a sweep over many corners
+    must not grow without limit.  Eviction is safe:
     an evicted corner is re-served from the disk cache when [cache_dir]
     is set, or re-characterized.  Hits, misses and evictions land in
     the metrics registry as [cache.memo_hit] / [cache.memo_miss] /

@@ -291,8 +291,7 @@ let rec attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit
    from the point key keeps retries deterministic per point while spreading
    concurrent workers' retry times apart. *)
 let retry_pause_backoff =
-  { Retry.default_backoff with
-    Retry.base = 5e-4; cap = 5e-3; factor = 2.; jitter = 0.5 }
+  { Retry.base = 5e-4; cap = 5e-3; factor = 2.; jitter = 0.5 }
 
 let measure_point backend ~key ?warm ?state_out ~base_circuit ~cell ~arc ~dir
     ~slew ~load () =

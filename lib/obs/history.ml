@@ -70,7 +70,6 @@ let default_health_counters =
     "characterize.points.repaired";
     "characterize.points.failed";
     "cache.corrupt";
-    "serve.worker.stalled";
     "log.warnings";
   ]
 

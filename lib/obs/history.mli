@@ -11,8 +11,8 @@
     of sigma).  Median/MAD rather than mean/stddev so one earlier outlier
     run cannot inflate the scale and mask real drift.
 
-    Health counters (retries, repairs, corrupt cache hits, stalled
-    workers) gate {e one-sided}: only an increase is drift — a run with
+    Health counters (retries, repairs, corrupt cache hits, warnings) gate
+    {e one-sided}: only an increase is drift — a run with
     fewer faults than usual is good news, not a regression. *)
 
 val median : float array -> float

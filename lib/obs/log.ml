@@ -29,33 +29,17 @@ let label = function
 let warnings = Metrics.counter "log.warnings"
 
 (* Process start on the monotonic clock; every line carries its offset so
-   daemon stderr can be correlated with trace and flight-recorder dumps,
-   which timestamp on the same clock. *)
+   stderr can be correlated with trace dumps, which time spans on the same
+   clock. *)
 let t0_mono = 1e-9 *. Int64.to_float (Monotonic_clock.now ())
 let mono_offset () = (1e-9 *. Int64.to_float (Monotonic_clock.now ())) -. t0_mono
 
-let emit lvl sub fields trace msg =
+let emit lvl sub msg =
   if lvl = Warn then Metrics.incr warnings;
-  if enabled lvl then begin
-    let fields =
-      match trace with
-      | None -> fields
-      | Some id -> fields @ [ ("trace", id) ]
-    in
-    let suffix =
-      match fields with
-      | [] -> ""
-      | kvs ->
-        " "
-        ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
-    in
-    Printf.eprintf "[+%.3f][%s][%s] %s%s\n%!" (mono_offset ()) (label lvl) sub
-      msg suffix
-  end
+  if enabled lvl then
+    Printf.eprintf "[+%.3f][%s][%s] %s\n%!" (mono_offset ()) (label lvl) sub msg
 
-let logf lvl ?(fields = []) ?trace sub fmt =
-  Printf.ksprintf (emit lvl sub fields trace) fmt
-
-let debugf ?fields ?trace sub fmt = logf Debug ?fields ?trace sub fmt
-let infof ?fields ?trace sub fmt = logf Info ?fields ?trace sub fmt
-let warnf ?fields ?trace sub fmt = logf Warn ?fields ?trace sub fmt
+let logf lvl sub fmt = Printf.ksprintf (emit lvl sub) fmt
+let debugf sub fmt = logf Debug sub fmt
+let infof sub fmt = logf Info sub fmt
+let warnf sub fmt = logf Warn sub fmt

@@ -1,15 +1,14 @@
-(** Leveled structured logging.
+(** Leveled logging.
 
-    Log lines go to stderr as
-    [[+offset][level][subsystem] message key=value ...] — the leading
-    [+seconds.millis] is the monotonic offset since process start, on the
-    same clock as span durations and flight-recorder events, so daemon
-    stderr can be correlated with trace dumps.  A library build can narrate
-    progress without polluting stdout reports, and [-q] can silence it
-    wholesale.  The level comes from the [AGING_LOG]
-    environment variable (["debug"], ["info"], ["warn"], ["quiet"]; default
-    ["info"]) and can be overridden programmatically (the CLI maps
-    [--verbose] to [Debug] and [-q] to [Quiet]).
+    Log lines go to stderr as [[+offset][level][subsystem] message] — the
+    leading [+seconds.millis] is the monotonic offset since process start,
+    on the same clock as span durations, so stderr can be correlated with
+    trace dumps.  A library build can narrate progress without polluting
+    stdout reports, and [-q] can silence it wholesale.  The level comes
+    from the [AGING_LOG] environment variable (["debug"], ["info"],
+    ["warn"], ["quiet"]; default ["info"]) and can be overridden
+    programmatically (the CLI maps [--verbose] to [Debug] and [-q] to
+    [Quiet]).
 
     Emitted warnings are also counted in the metrics registry
     (["log.warnings"]), so a metrics dump reveals whether a run warned even
@@ -26,26 +25,8 @@ val level_of_string : string -> level option
 val enabled : level -> bool
 (** Would a message at this level currently print? *)
 
-val debugf :
-  ?fields:(string * string) list ->
-  ?trace:string ->
-  string ->
-  ('a, unit, string, unit) format4 ->
-  'a
-(** [debugf sub fmt ...] logs at debug level under subsystem tag [sub];
-    [fields] append structured [key=value] pairs and [trace] appends a
-    final [trace=<id>] field tying the line to a request trace. *)
+val debugf : string -> ('a, unit, string, unit) format4 -> 'a
+(** [debugf sub fmt ...] logs at debug level under subsystem tag [sub]. *)
 
-val infof :
-  ?fields:(string * string) list ->
-  ?trace:string ->
-  string ->
-  ('a, unit, string, unit) format4 ->
-  'a
-
-val warnf :
-  ?fields:(string * string) list ->
-  ?trace:string ->
-  string ->
-  ('a, unit, string, unit) format4 ->
-  'a
+val infof : string -> ('a, unit, string, unit) format4 -> 'a
+val warnf : string -> ('a, unit, string, unit) format4 -> 'a

@@ -233,27 +233,6 @@ let to_json () =
          (name, Json.Obj body))
        (snapshot ()))
 
-let to_text () =
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter_value n -> Buffer.add_string b (Printf.sprintf "%s %d\n" name n)
-      | Gauge_value g -> Buffer.add_string b (Printf.sprintf "%s %g\n" name g)
-      | Histogram_value h ->
-        let mean = if h.hs_count = 0 then 0. else h.hs_sum /. float_of_int h.hs_count in
-        if h.hs_count = 0 then
-          Buffer.add_string b
-            (Printf.sprintf "%s count=0 sum=%.6g mean=%.6g\n" name h.hs_sum mean)
-        else
-          Buffer.add_string b
-            (Printf.sprintf "%s count=%d sum=%.6g mean=%.6g p50=%.3g p95=%.3g\n"
-               name h.hs_count h.hs_sum mean
-               (percentile_of_buckets h.hs_buckets 0.5)
-               (percentile_of_buckets h.hs_buckets 0.95)))
-    (snapshot ());
-  Buffer.contents b
-
 (* Inverse of one histogram entry of [to_json]: recover the (bound, count)
    bucket list so percentiles can be computed from an exported snapshot
    (the run ledger stores snapshots, not live handles). *)

@@ -10,10 +10,9 @@
     The registry is process-global on purpose: a characterization build
     fans out through engine, retry, cache and STA layers that share no
     state, and the whole point is one place where "how many solver steps
-    did this run take" can be answered afterwards.  Exporters ({!to_json},
-    {!to_text}) serialize a consistent snapshot; {!reset} zeroes all
-    registered metrics in place (handles stay valid), which tests use to
-    isolate their deltas.
+    did this run take" can be answered afterwards.  {!to_json} serializes
+    a consistent snapshot; {!reset} zeroes all registered metrics in place
+    (handles stay valid), which tests use to isolate their deltas.
 
     Every operation is domain-safe: counters and gauges are single atomic
     words (an [incr] is one lock-free fetch-and-add, cheap enough for the
@@ -87,8 +86,8 @@ and histogram_snapshot = {
 val value_by_name : string -> float option
 (** Numeric read of one metric {e without} creating it: a counter's count,
     a gauge's value, a histogram's observation count; [None] if the name
-    was never registered.  This is what QoR exporters (the service's
-    ledger rows) use so that probing a metric cannot pollute the
+    was never registered.  QoR exporters (the perf benchmark's counter
+    deltas) use it so that probing a metric cannot pollute the
     registry. *)
 
 val snapshot : unit -> (string * value) list
@@ -97,10 +96,6 @@ val snapshot : unit -> (string * value) list
 val to_json : unit -> Json.t
 (** Object keyed by metric name; each value carries a ["type"] tag and its
     data.  Histogram overflow bounds serialize as the string ["+Inf"]. *)
-
-val to_text : unit -> string
-(** One line per metric, for human eyes.  Histogram lines include
-    approximate p50/p95 (from {!approx_percentile}) when non-empty. *)
 
 val buckets_of_json : Json.t -> (float * int) list option
 (** Recovers the bucket list from one histogram entry of a {!to_json}

@@ -88,8 +88,6 @@ let render_snapshot values =
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-let render () = render_snapshot (Metrics.snapshot ())
-
 (* ---- stored-snapshot recovery (ledger records) ---- *)
 
 let values_of_stored_json j =

@@ -4,21 +4,19 @@
     histograms — as OpenMetrics text: sanitized metric names with
     [# HELP]/[# TYPE] headers, [_total]-suffixed counter samples,
     histograms as cumulative [le]-labelled buckets plus [_sum]/[_count],
-    and a closing [# EOF].  This is what [relaware serve --metrics-port]
-    serves on [GET /metrics] and what [relaware obs export --format
+    and a closing [# EOF].  This is what [relaware obs export --format
     openmetrics] emits for a stored ledger record, so any Prometheus can
-    scrape a live daemon or ingest an archived run.
+    ingest an archived run.
 
     The module also ships a small parser for the same format ({!parse}),
-    used by the soak harness and tests to validate a scrape end to end
-    (names legal, buckets cumulative and monotone) without external
-    tooling. *)
+    used by the tests to validate an exposition end to end (names legal,
+    buckets cumulative and monotone) without external tooling. *)
 
 val sanitize_name : string -> string
 (** Map a dotted metric name onto the OpenMetrics charset
     [[a-zA-Z_:][a-zA-Z0-9_:]*]: every illegal character becomes ['_'] and
-    a leading digit gains a ['_'] prefix (["serve.latency.p99"] ->
-    ["serve_latency_p99"]). *)
+    a leading digit gains a ['_'] prefix (["lib.cells.p99"] ->
+    ["lib_cells_p99"]). *)
 
 val escape_label_value : string -> string
 (** Escape a label value for exposition: backslash, double quote and
@@ -29,9 +27,6 @@ val render_snapshot : (string * Metrics.value) list -> string
     carries the original dotted name, which survives sanitization
     losslessly for consumers that care. *)
 
-val render : unit -> string
-(** [render_snapshot (Metrics.snapshot ())]. *)
-
 val values_of_stored_json : Json.t -> ((string * Metrics.value) list, string) result
 (** Recover a snapshot from the {!Metrics.to_json} encoding (the shape
     stored in ledger records' [metrics] field).  Elided empty buckets are
@@ -40,10 +35,10 @@ val values_of_stored_json : Json.t -> ((string * Metrics.value) list, string) re
 val render_stored : Json.t -> (string, string) result
 (** [render_snapshot] over {!values_of_stored_json}. *)
 
-(** {2 Parsing (for scrape validation)} *)
+(** {2 Parsing (for exposition validation)} *)
 
 type sample = {
-  s_name : string;  (** sample name as exposed, e.g. ["serve_requests_total"] *)
+  s_name : string;  (** sample name as exposed, e.g. ["lib_cells_total"] *)
   s_labels : (string * string) list;  (** unescaped label values *)
   s_value : float;
 }

@@ -131,11 +131,25 @@ let git_rev_opt () =
 
 let capture_seq = Atomic.make 0
 
+(* One runtime read into the runtime.* gauges, so every record's metrics
+   snapshot carries the GC totals and memory of its run. *)
+let set_runtime_gauges () =
+  let t = Runtime.totals () in
+  let set name v = Metrics.set (Metrics.gauge name) v in
+  set "runtime.gc.minor_words" t.Runtime.minor_words;
+  set "runtime.gc.promoted_words" t.Runtime.promoted_words;
+  set "runtime.gc.major_words" t.Runtime.major_words;
+  set "runtime.gc.minor_collections" (float_of_int t.Runtime.minor_collections);
+  set "runtime.gc.major_collections" (float_of_int t.Runtime.major_collections);
+  set "runtime.gc.compactions" (float_of_int t.Runtime.compactions);
+  set "runtime.gc.heap_mb" t.Runtime.heap_mb;
+  set "runtime.gc.top_heap_mb" t.Runtime.top_heap_mb;
+  Option.iter (set "runtime.mem.rss_mb") t.Runtime.rss_mb;
+  Option.iter (set "runtime.mem.hwm_mb") t.Runtime.hwm_mb
+
 let capture ~tool ~subcommand ?(argv = Array.to_list Sys.argv)
     ?(outcome = Finished) ?spans ~started_at ~wall_s () =
-  (* Refresh the runtime.* gauges so every record's metrics snapshot
-     carries the process health (GC totals, RSS, fds) of its run. *)
-  Runtime.sample_global ();
+  set_runtime_gauges ();
   let qor, notes = drain_notes () in
   let spans = match spans with Some s -> s | None -> Span.roots () in
   let id =

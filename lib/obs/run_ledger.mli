@@ -69,9 +69,10 @@ val capture :
   unit ->
   record
 (** Snapshot the process telemetry into a record: drains the QoR/note
-    accumulators, snapshots {!Metrics.to_json}, takes {!Span.roots}
-    (unless [spans] overrides, e.g. one bench scenario's root), resolves
-    the git revision, and mints a fresh [id].  [argv] defaults to
+    accumulators, sets the [runtime.gc.*] / [runtime.mem.*] gauges from
+    one {!Runtime.totals} read, snapshots {!Metrics.to_json}, takes
+    {!Span.roots} (unless [spans] overrides, e.g. one bench scenario's
+    root), resolves the git revision, and mints a fresh [id].  [argv] defaults to
     [Sys.argv]. *)
 
 val append : dir:string -> record -> string

@@ -1,24 +1,16 @@
 let word_mb = float_of_int (Sys.word_size / 8) /. 1e6
-let mono_s () = 1e-9 *. Int64.to_float (Monotonic_clock.now ())
-
-(* ---- procfs reads (all optional: absent on non-Linux platforms) ---- *)
-
-let read_file path =
-  try Some (In_channel.with_open_text path In_channel.input_all)
-  with _ -> None
 
 (* "VmRSS:     123456 kB" -> 123456. *)
 let status_kb body key =
   let prefix = key ^ ":" in
-  let lines = String.split_on_char '\n' body in
   List.find_map
     (fun line ->
       if String.starts_with ~prefix line then
         let rest =
-          String.sub line (String.length prefix)
-            (String.length line - String.length prefix)
+          String.trim
+            (String.sub line (String.length prefix)
+               (String.length line - String.length prefix))
         in
-        let rest = String.trim rest in
         let num =
           match String.index_opt rest ' ' with
           | Some i -> String.sub rest 0 i
@@ -26,154 +18,7 @@ let status_kb body key =
         in
         float_of_string_opt num
       else None)
-    lines
-
-type proc_stats = {
-  p_rss_mb : float option;
-  p_hwm_mb : float option;
-  p_threads : int option;
-  p_fds : int option;
-}
-
-let proc_stats () =
-  let status = read_file "/proc/self/status" in
-  let kb key =
-    Option.bind status (fun body -> status_kb body key)
-    |> Option.map (fun kb -> kb /. 1024.)
-  in
-  let threads =
-    Option.bind status (fun body -> status_kb body "Threads")
-    |> Option.map int_of_float
-  in
-  let fds = try Some (Array.length (Sys.readdir "/proc/self/fd")) with _ -> None in
-  { p_rss_mb = kb "VmRSS"; p_hwm_mb = kb "VmHWM"; p_threads = threads; p_fds = fds }
-
-(* ---- gauges ---- *)
-
-let g_minor_words = Metrics.gauge "runtime.gc.minor_words"
-let g_promoted_words = Metrics.gauge "runtime.gc.promoted_words"
-let g_major_words = Metrics.gauge "runtime.gc.major_words"
-let g_minor_colls = Metrics.gauge "runtime.gc.minor_collections"
-let g_major_colls = Metrics.gauge "runtime.gc.major_collections"
-let g_compactions = Metrics.gauge "runtime.gc.compactions"
-let g_heap_mb = Metrics.gauge "runtime.gc.heap_mb"
-let g_top_heap_mb = Metrics.gauge "runtime.gc.top_heap_mb"
-let g_minor_rate = Metrics.gauge "runtime.rate.minor_words_per_s"
-let g_promoted_rate = Metrics.gauge "runtime.rate.promoted_words_per_s"
-let g_majors_rate = Metrics.gauge "runtime.rate.majors_per_s"
-let g_rss_mb = Metrics.gauge "runtime.mem.rss_mb"
-let g_hwm_mb = Metrics.gauge "runtime.mem.hwm_mb"
-let g_fds = Metrics.gauge "runtime.fds"
-let g_threads = Metrics.gauge "runtime.threads"
-let c_samples = Metrics.counter "runtime.samples"
-
-type t = {
-  clock : unit -> float;
-  lock : Mutex.t;
-  mutable last_t : float;  (* nan before the first sample *)
-  mutable last_minor : float;
-  mutable last_promoted : float;
-  mutable last_majors : float;
-  mutable period_s : float;
-  mutable thread : Thread.t option;
-  mutable stopping : bool;
-}
-
-let create ?(clock = mono_s) () =
-  {
-    clock;
-    lock = Mutex.create ();
-    last_t = Float.nan;
-    last_minor = 0.;
-    last_promoted = 0.;
-    last_majors = 0.;
-    period_s = 0.5;
-    thread = None;
-    stopping = false;
-  }
-
-let sample t =
-  try
-    let now = t.clock () in
-    let st = Gc.quick_stat () in
-    let proc = proc_stats () in
-    Mutex.protect t.lock (fun () ->
-        Metrics.set g_minor_words st.Gc.minor_words;
-        Metrics.set g_promoted_words st.Gc.promoted_words;
-        Metrics.set g_major_words st.Gc.major_words;
-        Metrics.set g_minor_colls (float_of_int st.Gc.minor_collections);
-        Metrics.set g_major_colls (float_of_int st.Gc.major_collections);
-        Metrics.set g_compactions (float_of_int st.Gc.compactions);
-        Metrics.set g_heap_mb (float_of_int st.Gc.heap_words *. word_mb);
-        Metrics.set g_top_heap_mb (float_of_int st.Gc.top_heap_words *. word_mb);
-        let dt = now -. t.last_t in
-        if Float.is_finite dt && dt > 0. then begin
-          Metrics.set g_minor_rate ((st.Gc.minor_words -. t.last_minor) /. dt);
-          Metrics.set g_promoted_rate
-            ((st.Gc.promoted_words -. t.last_promoted) /. dt);
-          Metrics.set g_majors_rate
-            ((float_of_int st.Gc.major_collections -. t.last_majors) /. dt)
-        end;
-        t.last_t <- now;
-        t.last_minor <- st.Gc.minor_words;
-        t.last_promoted <- st.Gc.promoted_words;
-        t.last_majors <- float_of_int st.Gc.major_collections;
-        Option.iter (Metrics.set g_rss_mb) proc.p_rss_mb;
-        Option.iter (Metrics.set g_hwm_mb) proc.p_hwm_mb;
-        Option.iter (fun n -> Metrics.set g_fds (float_of_int n)) proc.p_fds;
-        Option.iter
-          (fun n -> Metrics.set g_threads (float_of_int n))
-          proc.p_threads;
-        Metrics.incr c_samples)
-  with _ -> ()
-
-let running t = Mutex.protect t.lock (fun () -> t.thread <> None)
-
-let loop t =
-  let rec wait remaining =
-    let stop = Mutex.protect t.lock (fun () -> t.stopping) in
-    if (not stop) && remaining > 0. then begin
-      let chunk = Float.min 0.05 remaining in
-      Thread.delay chunk;
-      wait (remaining -. chunk)
-    end
-    else stop
-  in
-  let rec go () =
-    sample t;
-    if not (wait t.period_s) then go ()
-  in
-  go ()
-
-let start ?(period_s = 0.5) t =
-  let spawn =
-    Mutex.protect t.lock (fun () ->
-        if t.thread <> None then false
-        else begin
-          t.period_s <- Float.max 0.01 period_s;
-          t.stopping <- false;
-          true
-        end)
-  in
-  if spawn then begin
-    let th = Thread.create loop t in
-    Mutex.protect t.lock (fun () -> t.thread <- Some th)
-  end
-
-let stop t =
-  let th =
-    Mutex.protect t.lock (fun () ->
-        let th = t.thread in
-        t.stopping <- true;
-        t.thread <- None;
-        th)
-  in
-  Option.iter Thread.join th
-
-let global = lazy (create ())
-let sample_global () = sample (Lazy.force global)
-let start_global ?period_s () = start ?period_s (Lazy.force global)
-let stop_global () = stop (Lazy.force global)
+    (String.split_on_char '\n' body)
 
 type totals = {
   rss_mb : float option;
@@ -185,16 +30,22 @@ type totals = {
   major_collections : int;
   compactions : int;
   heap_mb : float;
-  fds : int option;
-  threads : int option;
+  top_heap_mb : float;
 }
 
 let totals () =
   let st = Gc.quick_stat () in
-  let proc = proc_stats () in
+  let status =
+    try Some (In_channel.with_open_text "/proc/self/status" In_channel.input_all)
+    with _ -> None
+  in
+  let mb key =
+    Option.bind status (fun body -> status_kb body key)
+    |> Option.map (fun kb -> kb /. 1024.)
+  in
   {
-    rss_mb = proc.p_rss_mb;
-    hwm_mb = proc.p_hwm_mb;
+    rss_mb = mb "VmRSS";
+    hwm_mb = mb "VmHWM";
     minor_words = st.Gc.minor_words;
     promoted_words = st.Gc.promoted_words;
     major_words = st.Gc.major_words;
@@ -202,6 +53,5 @@ let totals () =
     major_collections = st.Gc.major_collections;
     compactions = st.Gc.compactions;
     heap_mb = float_of_int st.Gc.heap_words *. word_mb;
-    fds = proc.p_fds;
-    threads = proc.p_threads;
+    top_heap_mb = float_of_int st.Gc.top_heap_words *. word_mb;
   }

@@ -1,58 +1,11 @@
-(** Process runtime-health sampler: GC, memory and descriptor gauges.
+(** Process runtime totals: GC work and memory, read on demand.
 
-    A sampler turns [Gc.quick_stat], [/proc/self/status] (VmRSS/VmHWM,
-    thread count) and [/proc/self/fd] into [runtime.*] gauges in the
-    process-global metrics registry, plus derived rates (minor words/s,
-    promoted words/s, major collections/s) computed from deltas between
-    consecutive samples.  Long-running entry points ([relaware serve],
-    [soak], [bench], characterization builds) start the global sampler's
-    background thread; {!Run_ledger.capture} takes one synchronous sample
-    so every ledger record carries the runtime gauges of its run.
-
-    The clock is pluggable so rate computation is deterministic under
-    test: pass a fake monotonic clock to [create] and the rates divide by
-    exactly the fake deltas.  All [/proc] reads degrade to absent gauges
-    on platforms without procfs — sampling never raises.
-
-    Gauges: [runtime.gc.minor_words], [runtime.gc.promoted_words],
-    [runtime.gc.major_words], [runtime.gc.minor_collections],
-    [runtime.gc.major_collections], [runtime.gc.compactions],
-    [runtime.gc.heap_mb], [runtime.gc.top_heap_mb],
-    [runtime.rate.minor_words_per_s], [runtime.rate.promoted_words_per_s],
-    [runtime.rate.majors_per_s], [runtime.mem.rss_mb],
-    [runtime.mem.hwm_mb], [runtime.fds], [runtime.threads]; counter
-    [runtime.samples]. *)
-
-type t
-
-val create : ?clock:(unit -> float) -> unit -> t
-(** A sampler with no samples taken yet.  [clock] must be monotonic
-    seconds; it defaults to the span/flight-recorder clock. *)
-
-val sample : t -> unit
-(** Take one sample now: refresh every gauge, update the rates from the
-    delta to the previous sample (first sample leaves rates at 0), and
-    bump [runtime.samples].  Thread-safe; never raises. *)
-
-val start : ?period_s:float -> t -> unit
-(** Start the background sampling thread ([period_s] defaults to 0.5;
-    clamped to >= 0.01).  No-op when already running. *)
-
-val stop : t -> unit
-(** Stop and join the background thread.  No-op when not running. *)
-
-val running : t -> bool
-
-(** {2 The process-global sampler} *)
-
-val sample_global : unit -> unit
-(** One synchronous sample of the shared global sampler (created lazily;
-    the background thread is not started). *)
-
-val start_global : ?period_s:float -> unit -> unit
-val stop_global : unit -> unit
-
-(** {2 One-shot totals (no registry involved)} *)
+    {!totals} reads [Gc.quick_stat] and [/proc/self/status] (VmRSS/VmHWM)
+    once.  The bench harnesses difference two reads to charge a scenario
+    with its GC work and peak RSS, and {!Run_ledger.capture} copies one
+    read into the [runtime.gc.*] / [runtime.mem.*] gauges so every ledger
+    record carries the memory and GC state of its run.  The procfs fields
+    are [None] on platforms without procfs; reading never raises. *)
 
 type totals = {
   rss_mb : float option;  (** current VmRSS; [None] without procfs *)
@@ -64,10 +17,7 @@ type totals = {
   major_collections : int;
   compactions : int;
   heap_mb : float;
-  fds : int option;  (** open descriptors, from [/proc/self/fd] *)
-  threads : int option;  (** OS threads (covers domains), from procfs *)
+  top_heap_mb : float;
 }
 
 val totals : unit -> totals
-(** Read the current totals directly; used by bench scenario rows and
-    soak QoR notes to record peak RSS and GC work per run. *)

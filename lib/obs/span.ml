@@ -107,19 +107,6 @@ let with_ ?(attrs = []) name f =
     finish (Raised (Printexc.to_string e));
     raise e
 
-(* Externally assembled trees (e.g. the server's per-request phase spans,
-   whose lifetime crosses threads and domains and so cannot use the
-   domain-local [with_] stack) enter as roots.  No [span.<name>] histogram
-   here: callers that build their own spans also keep their own, finer
-   grained, latency histograms. *)
-let emit span =
-  if Atomic.get recording_on then
-    if Atomic.get recorded < max_recorded then begin
-      Mutex.protect roots_lock (fun () -> root_acc := span :: !root_acc);
-      ignore (Atomic.fetch_and_add recorded 1)
-    end
-    else ignore (Atomic.fetch_and_add dropped_count 1)
-
 let rec span_to_json s =
   Json.Obj
     [

@@ -42,15 +42,6 @@ val with_ : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Runs the function inside a span named [name] (convention:
     [subsystem.operation]). *)
 
-val emit : t -> unit
-(** Records an externally assembled, already-completed span tree as a
-    top-level root (subject to {!recording} and the span cap).  For
-    instrumentation whose lifetime crosses threads or domains — e.g. the
-    server's per-request phase spans, which start on a connection thread
-    and finish on a worker domain — where [with_]'s domain-local stack
-    does not apply.  Unlike [with_], no ["span.<name>"] histogram is
-    observed; such callers keep their own latency histograms. *)
-
 val set_recording : bool -> unit
 val recording : unit -> bool
 

@@ -1,11 +1,11 @@
 (** A bounded least-recently-used cache.
 
-    Resident processes ({!Aging_core.Degradation_library}'s in-memory memo,
-    the [relaware serve] daemon) must hold a working set of expensive
-    artifacts without growing without limit; this is the eviction policy
-    they share.  [find] promotes the binding to most-recently-used, [put]
-    evicts the least-recently-used binding once the capacity is exceeded
-    and hands it back to the caller (for logging / metrics).
+    {!Aging_core.Degradation_library}'s in-memory memo must hold a working
+    set of expensive libraries without growing without limit over a long
+    corner sweep; this is its eviction policy.  [find] promotes the
+    binding to most-recently-used, [put] evicts the least-recently-used
+    binding once the capacity is exceeded and hands it back to the caller
+    (for logging / metrics).
 
     Not thread-safe: callers that share a cache across domains serialize on
     their own lock, which is what they need anyway to make lookup-miss-fill

@@ -43,13 +43,7 @@ type backoff = {
   factor : float;
   cap : float;
   jitter : float;
-  max_attempts : int;
-  budget : float;
 }
-
-let default_backoff =
-  { base = 0.025; factor = 2.; cap = 1.; jitter = 0.5; max_attempts = 8;
-    budget = 30. }
 
 let validate p =
   if p.base < 0. || not (Float.is_finite p.base) then
@@ -57,8 +51,7 @@ let validate p =
   if p.factor < 1. then invalid_arg "Retry: backoff factor must be >= 1";
   if p.cap < 0. then invalid_arg "Retry: backoff cap must be >= 0";
   if p.jitter < 0. || p.jitter > 1. then
-    invalid_arg "Retry: backoff jitter must be in [0, 1]";
-  if p.max_attempts < 1 then invalid_arg "Retry: max_attempts must be >= 1"
+    invalid_arg "Retry: backoff jitter must be in [0, 1]"
 
 let backoff_delay ?rng p ~failures =
   if failures < 1 then invalid_arg "Retry.backoff_delay: failures must be >= 1";
@@ -70,31 +63,6 @@ let backoff_delay ?rng p ~failures =
   match rng with
   | None -> d
   | Some rng -> d *. (1. -. (p.jitter *. Rng.float rng))
-
-let with_backoff ?(sleep = Unix.sleepf) ?(now = Unix.gettimeofday) ?rng p f =
-  validate p;
-  let started = now () in
-  let rec go errors attempt =
-    match f ~attempt with
-    | Ok x ->
-      if errors = [] then First_try x else Recovered (x, List.rev errors)
-    | Error e ->
-      let errors = e :: errors in
-      let failures = List.length errors in
-      if failures >= p.max_attempts then Exhausted (List.rev errors)
-      else begin
-        let d = backoff_delay ?rng p ~failures in
-        (* The budget is a total deadline: a sleep that would land past it
-           is not taken, so a caller waiting on us is never held beyond
-           [budget] by more than one attempt's own duration. *)
-        if now () -. started +. d > p.budget then Exhausted (List.rev errors)
-        else begin
-          if d > 0. then sleep d;
-          go errors (attempt + 1)
-        end
-      end
-  in
-  go [] 0
 
 let pause_of_backoff ?(sleep = Unix.sleepf) ?rng p ~failures =
   let d = backoff_delay ?rng p ~failures in

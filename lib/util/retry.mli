@@ -1,4 +1,4 @@
-(** Retry policies: escalation ladders and capped exponential backoff.
+(** Retry policies: escalation ladders paced by capped exponential backoff.
 
     {b Escalation} ([with_escalation]) runs an attempt at each rung of a
     ladder of progressively more conservative configurations until one
@@ -8,13 +8,11 @@
     list of configurations, an attempt is any function returning a
     [result].
 
-    {b Backoff} ([with_backoff]) retries one operation with capped
-    exponential delays, deterministic seeded jitter, and a total deadline
-    budget — the client-side policy for talking to a loaded service
-    ([relaware query] retrying [overloaded] responses) and the pacing
-    between escalation rungs when failures look transient rather than
-    deterministic.  Timing is injectable ([sleep], [now]) so tests can
-    assert the exact schedule without sleeping. *)
+    {b Backoff} ([backoff_delay], [pause_of_backoff]) paces the rungs with
+    capped exponential delays and deterministic seeded jitter when
+    failures look transient rather than deterministic.  Sleeping is
+    injectable ([sleep]) so tests can assert the schedule without
+    sleeping. *)
 
 type ('a, 'e) outcome =
   | First_try of 'a            (** the first rung succeeded *)
@@ -57,41 +55,14 @@ type backoff = {
           generator, delay [d] becomes [d *. (1. -. jitter *. u)] for
           [u ~ U[0,1)] — deterministic for a fixed {!Rng.t} seed.  Without
           a generator the undithered delay is used. *)
-  max_attempts : int;
-      (** total attempts allowed (>= 1); [max_int] for budget-only *)
-  budget : float;
-      (** total deadline in seconds across all attempts and sleeps:
-          a retry whose delay would land past the budget is not made.
-          [infinity] disables the budget. *)
 }
-
-val default_backoff : backoff
-(** 25 ms base, factor 2, 1 s cap, 0.5 jitter, 8 attempts, 30 s budget. *)
 
 val backoff_delay : ?rng:Rng.t -> backoff -> failures:int -> float
 (** The delay scheduled after the [failures]-th consecutive failure
     ([failures >= 1]): [min cap (base *. factor ** (failures - 1))],
     dithered by [jitter] when [rng] is given (advancing it by one draw). *)
 
-val with_backoff :
-  ?sleep:(float -> unit) ->
-  ?now:(unit -> float) ->
-  ?rng:Rng.t ->
-  backoff ->
-  (attempt:int -> ('a, 'e) result) ->
-  ('a, 'e) outcome
-(** [with_backoff policy f] calls [f ~attempt:0] immediately and, on
-    [Error], sleeps the next backoff delay and re-attempts with an
-    incremented [attempt] — until an attempt succeeds ([First_try] /
-    [Recovered]), [max_attempts] attempts have failed, or the next delay
-    would overrun [budget] (measured by [now], default
-    [Unix.gettimeofday]); both exhaustions return [Exhausted] with every
-    error in attempt order.  [sleep] defaults to [Unix.sleepf]; tests pass
-    a recording stub to assert the schedule.  The jitter sequence is
-    deterministic for a fixed [rng] seed. *)
-
 val pause_of_backoff :
   ?sleep:(float -> unit) -> ?rng:Rng.t -> backoff -> failures:int -> unit
 (** Adapter for {!with_escalation}'s [pause]: sleeps
-    [backoff_delay ~failures] (ignoring [max_attempts] and [budget] — the
-    ladder length already bounds the attempts). *)
+    [backoff_delay ~failures] (the ladder length bounds the attempts). *)

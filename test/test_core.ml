@@ -24,7 +24,7 @@ let metric name =
   Option.value ~default:0. (Aging_obs.Metrics.value_by_name name)
 
 let test_deglib_memo_bounded () =
-  (* A resident service must not grow the in-memory memo without limit:
+  (* A long corner sweep must not grow the in-memory memo without limit:
      with cap 2, a third corner evicts the least-recently-used library,
      the counters record it, and the evicted corner is transparently
      re-characterized to an identical library on the next request. *)

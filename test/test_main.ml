@@ -33,5 +33,4 @@ let () =
       ("core", Test_core.suite);
       ("obs", Test_obs.suite);
       ("check", Test_check.suite);
-      ("serve", Test_serve.suite);
     ]

@@ -7,7 +7,6 @@ module Log = Aging_obs.Log
 module Json = Aging_obs.Json
 module Run_ledger = Aging_obs.Run_ledger
 module Trace_export = Aging_obs.Trace_export
-module Flightrec = Aging_obs.Flightrec
 module Profile = Aging_obs.Profile
 module Scenario = Aging_physics.Scenario
 module Axes = Aging_liberty.Axes
@@ -633,134 +632,7 @@ let test_profile_telescopes () =
   Alcotest.(check bool) "table renders the hottest rows" true
     (String.length table > 0)
 
-(* --------------------------- flight recorder --------------------------- *)
-
-let test_flightrec_wrap () =
-  let r = Flightrec.create ~capacity:8 () in
-  for i = 0 to 19 do
-    Flightrec.record r ~fields:[ ("i", Json.Int i) ] "test.tick"
-  done;
-  Alcotest.(check int) "recorded counts overwritten events" 20
-    (Flightrec.recorded r);
-  Alcotest.(check int) "overwritten = recorded - capacity" 12
-    (Flightrec.overwritten r);
-  let events = Flightrec.events r in
-  Alcotest.(check int) "ring keeps exactly capacity" 8 (List.length events);
-  Alcotest.(check (list int)) "survivors are the newest, oldest first"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun (ev : Flightrec.event) -> ev.Flightrec.seq) events);
-  List.iter
-    (fun (ev : Flightrec.event) ->
-      Alcotest.(check bool) "payload tracks seq" true
-        (List.assoc_opt "i" ev.Flightrec.fields
-        = Some (Json.Int ev.Flightrec.seq)))
-    events;
-  Flightrec.clear r;
-  Alcotest.(check int) "clear empties the ring" 0
-    (List.length (Flightrec.events r));
-  Alcotest.(check int) "clear resets the counters" 0 (Flightrec.recorded r)
-
-(* Four domains hammer one ring concurrently: every surviving event must
-   have a unique seq, and the survivors must be exactly the newest
-   [capacity] seqs — the lock hands out dense sequence numbers and ring
-   slots atomically. *)
-let test_flightrec_concurrent () =
-  let per_domain = 200 in
-  let domains = 4 in
-  let r = Flightrec.create ~capacity:64 () in
-  let workers =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_domain - 1 do
-              Flightrec.record r
-                ~fields:[ ("d", Json.Int d); ("i", Json.Int i) ]
-                "test.storm"
-            done))
-  in
-  List.iter Domain.join workers;
-  let total = domains * per_domain in
-  Alcotest.(check int) "every record counted" total (Flightrec.recorded r);
-  let events = Flightrec.events r in
-  Alcotest.(check int) "full ring survives" 64 (List.length events);
-  let seqs = List.map (fun (ev : Flightrec.event) -> ev.Flightrec.seq) events in
-  Alcotest.(check (list int)) "survivors are the dense newest window"
-    (List.init 64 (fun i -> total - 64 + i))
-    seqs
-
-let test_flightrec_dump_roundtrip () =
-  let r = Flightrec.create ~capacity:16 () in
-  Flightrec.record r "serve.started";
-  Flightrec.record r
-    ~fields:
-      [ ("job", Json.Int 3); ("op", Json.String "sleep");
-        ("trace", Json.String "c12-0"); ("total_ms", Json.Float 4.25) ]
-    "req.completed";
-  (* Single-event JSON round trip preserves every field. *)
-  (match Flightrec.events r with
-  | [ _; ev ] -> begin
-    match Flightrec.event_of_json (Flightrec.event_to_json ev) with
-    | Ok ev' ->
-      Alcotest.(check bool) "event JSON round trip" true (ev' = ev)
-    | Error msg -> Alcotest.fail msg
-  end
-  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "flightrec-%d.jsonl" (Unix.getpid ()))
-  in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (match Flightrec.dump_to_file r path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  (match Flightrec.load_jsonl path with
-  | Ok evs ->
-    Alcotest.(check bool) "dump/load round trip" true
-      (evs = Flightrec.events r)
-  | Error msg -> Alcotest.fail msg);
-  (* A malformed line aborts the load with a typed error, not an exception. *)
-  let oc = open_out path in
-  output_string oc "{\"seq\":0,\"kind\":\"ok\",\"t\":1.0,\"mono\":1.0}\nnot json\n";
-  close_out oc;
-  match Flightrec.load_jsonl path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected Error on malformed line"
-
-(* A tiny cap still keeps the newest events after a live resize, and the
-   resized ring wraps correctly from there — the property `--flight-cap`
-   relies on. *)
-let test_flightrec_set_capacity () =
-  let r = Flightrec.create ~capacity:8 () in
-  for i = 0 to 9 do
-    Flightrec.record r ~fields:[ ("i", Json.Int i) ] "test.cap"
-  done;
-  Flightrec.set_capacity r 4;
-  Alcotest.(check int) "capacity updated" 4 (Flightrec.capacity r);
-  Alcotest.(check int) "recorded unaffected by resize" 10
-    (Flightrec.recorded r);
-  let seqs r =
-    List.map (fun (ev : Flightrec.event) -> ev.Flightrec.seq)
-      (Flightrec.events r)
-  in
-  Alcotest.(check (list int)) "shrink keeps the newest events"
-    [ 6; 7; 8; 9 ] (seqs r);
-  (* Wrap at the tiny cap: the next records overwrite the oldest slots. *)
-  for i = 10 to 12 do
-    Flightrec.record r ~fields:[ ("i", Json.Int i) ] "test.cap"
-  done;
-  Alcotest.(check (list int)) "tiny ring wraps cleanly"
-    [ 9; 10; 11; 12 ] (seqs r);
-  (* Growing keeps everything that survived. *)
-  Flightrec.set_capacity r 16;
-  Alcotest.(check (list int)) "grow preserves survivors"
-    [ 9; 10; 11; 12 ] (seqs r);
-  for i = 13 to 14 do
-    Flightrec.record r ~fields:[ ("i", Json.Int i) ] "test.cap"
-  done;
-  Alcotest.(check (list int)) "grown ring accumulates"
-    [ 9; 10; 11; 12; 13; 14 ] (seqs r)
-
-(* --------------------------- runtime sampler --------------------------- *)
+(* ---------------------------- runtime totals ---------------------------- *)
 
 module Runtime = Aging_obs.Runtime
 
@@ -769,74 +641,47 @@ let gauge_value name =
   | Some v -> v
   | None -> Alcotest.failf "gauge %s missing" name
 
-let test_runtime_sampler_rates () =
-  let now = ref 100. in
-  let t = Runtime.create ~clock:(fun () -> !now) () in
-  Runtime.sample t;
-  Alcotest.(check (float 0.)) "first sample leaves rates at 0" 0.
-    (gauge_value "runtime.rate.minor_words_per_s");
-  let minor1 = gauge_value "runtime.gc.minor_words" in
-  (* Allocate across a fake 2-second gap; the rate must divide the exact
-     cumulative delta by the exact fake delta. *)
-  let junk = ref [] in
-  for i = 0 to 9999 do junk := (i, float_of_int i) :: !junk done;
-  ignore (Sys.opaque_identity !junk);
-  (* OCaml 5 only folds a domain's allocation counters into quick_stat at
-     collection points; force one so the delta is visible. *)
-  Gc.minor ();
-  now := 102.;
-  Runtime.sample t;
-  let minor2 = gauge_value "runtime.gc.minor_words" in
-  Alcotest.(check bool) "allocation moved the gauge" true (minor2 > minor1);
-  Alcotest.(check (float 1e-6)) "rate = delta / fake dt"
-    ((minor2 -. minor1) /. 2.)
-    (gauge_value "runtime.rate.minor_words_per_s")
-
-let test_runtime_sampler_gauges () =
-  let t = Runtime.create () in
-  Runtime.sample t;
-  Alcotest.(check bool) "heap gauge positive" true
-    (gauge_value "runtime.gc.heap_mb" > 0.);
-  Alcotest.(check bool) "minor words positive" true
-    (gauge_value "runtime.gc.minor_words" > 0.);
-  (* procfs-backed gauges exist on Linux; elsewhere sampling must still
-     have succeeded without them. *)
-  (match Metrics.value_by_name "runtime.mem.rss_mb" with
-  | Some rss -> Alcotest.(check bool) "rss plausible" true (rss > 1.)
-  | None -> ());
+(* Totals read GC work and (on procfs platforms) memory; a ledger capture
+   samples them once into the runtime.* gauges of the record's snapshot. *)
+let test_runtime_totals () =
   let totals = Runtime.totals () in
   Alcotest.(check bool) "totals: minor words positive" true
     (totals.Runtime.minor_words > 0.);
   Alcotest.(check bool) "totals: heap positive" true
     (totals.Runtime.heap_mb > 0.);
+  Alcotest.(check bool) "totals: top heap >= heap" true
+    (totals.Runtime.top_heap_mb >= totals.Runtime.heap_mb);
   (match totals.Runtime.rss_mb with
   | Some rss ->
     Alcotest.(check bool) "totals rss plausible" true (rss > 1.);
     (match totals.Runtime.hwm_mb with
     | Some hwm -> Alcotest.(check bool) "hwm >= rss" true (hwm >= rss -. 1.)
     | None -> ())
-  | None -> ())
-
-let test_runtime_sampler_thread () =
-  let t = Runtime.create () in
-  Alcotest.(check bool) "not running before start" false (Runtime.running t);
-  Runtime.start ~period_s:0.01 t;
-  Alcotest.(check bool) "running after start" true (Runtime.running t);
-  Runtime.start t;  (* second start is a no-op *)
-  Unix.sleepf 0.05;
-  Runtime.stop t;
-  Alcotest.(check bool) "stopped" false (Runtime.running t);
-  Runtime.stop t;  (* idempotent *)
-  Alcotest.(check bool) "background thread sampled" true
-    (Metrics.value (Metrics.counter "runtime.samples") >= 2)
+  | None -> ());
+  Metrics.reset ();
+  let r =
+    Run_ledger.capture ~tool:"test" ~subcommand:"runtime" ~started_at:0.
+      ~wall_s:0. ()
+  in
+  Alcotest.(check bool) "heap gauge positive" true
+    (gauge_value "runtime.gc.heap_mb" > 0.);
+  Alcotest.(check bool) "minor words gauge positive" true
+    (gauge_value "runtime.gc.minor_words" > 0.);
+  (match Metrics.value_by_name "runtime.mem.rss_mb" with
+  | Some rss -> Alcotest.(check bool) "rss gauge plausible" true (rss > 1.)
+  | None -> ());
+  Alcotest.(check bool) "record snapshot carries the GC gauges" true
+    (Json.member "runtime.gc.minor_words" r.Run_ledger.metrics <> None
+    && Json.member "runtime.gc.major_collections" r.Run_ledger.metrics
+       <> None)
 
 (* ----------------------------- openmetrics ----------------------------- *)
 
 module Openmetrics = Aging_obs.Openmetrics
 
 let test_openmetrics_sanitize () =
-  Alcotest.(check string) "dots become underscores" "serve_latency_p99"
-    (Openmetrics.sanitize_name "serve.latency.p99");
+  Alcotest.(check string) "dots become underscores" "lib_cells_p99"
+    (Openmetrics.sanitize_name "lib.cells.p99");
   Alcotest.(check string) "leading digit prefixed" "_9lives"
     (Openmetrics.sanitize_name "9lives");
   Alcotest.(check string) "colons survive" "ns:metric_x"
@@ -1013,18 +858,18 @@ let test_history_rows_and_gate () =
 
 let test_history_health_counter_one_sided () =
   Metrics.reset ();
-  let stalled = Metrics.counter "serve.worker.stalled" in
+  let retried = Metrics.counter "characterize.points.retried" in
   let mk () =
     Run_ledger.capture ~tool:"test" ~subcommand:"hist" ~started_at:0.
       ~wall_s:0. ()
   in
   let quiet = List.init 5 (fun _ -> mk ()) in
-  Metrics.incr ~by:3 stalled;
+  Metrics.incr ~by:3 retried;
   let records = quiet @ [ mk () ] in
   let row =
     match
       List.find_opt
-        (fun r -> r.History.r_name = "serve.worker.stalled")
+        (fun r -> r.History.r_name = "characterize.points.retried")
         (History.rows_of_records records)
     with
     | Some row -> row
@@ -1032,7 +877,7 @@ let test_history_health_counter_one_sided () =
   in
   Alcotest.(check bool) "health counter is one-sided" true
     row.History.r_one_sided;
-  Alcotest.(check bool) "stall appearing from zero drifts" true
+  Alcotest.(check bool) "retries appearing from zero drift" true
     ((History.gate row).History.g_status = History.Drift);
   (* The reverse direction — counters falling back to zero — passes. *)
   let falling =
@@ -1082,20 +927,8 @@ let suite =
       test_trace_export_parallel;
     Alcotest.test_case "profile self times telescope" `Slow
       test_profile_telescopes;
-    Alcotest.test_case "flight recorder wraps and overwrites" `Quick
-      test_flightrec_wrap;
-    Alcotest.test_case "flight recorder concurrent domains" `Slow
-      test_flightrec_concurrent;
-    Alcotest.test_case "flight recorder dump round trip" `Quick
-      test_flightrec_dump_roundtrip;
-    Alcotest.test_case "flight recorder live resize" `Quick
-      test_flightrec_set_capacity;
-    Alcotest.test_case "runtime sampler rates (fake clock)" `Quick
-      test_runtime_sampler_rates;
     Alcotest.test_case "runtime sampler gauges and totals" `Quick
-      test_runtime_sampler_gauges;
-    Alcotest.test_case "runtime sampler background thread" `Quick
-      test_runtime_sampler_thread;
+      test_runtime_totals;
     Alcotest.test_case "openmetrics name/label sanitization" `Quick
       test_openmetrics_sanitize;
     Alcotest.test_case "openmetrics render/parse round trip" `Quick

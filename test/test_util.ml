@@ -308,8 +308,7 @@ let test_pool_balances_skewed_input () =
 
 let test_backoff_delay () =
   let b =
-    { Retry.default_backoff with base = 0.1; factor = 2.; cap = 0.5;
-      jitter = 0. }
+    { Retry.base = 0.1; factor = 2.; cap = 0.5; jitter = 0. }
   in
   check "1st failure" 0.1 (Retry.backoff_delay b ~failures:1);
   check "2nd doubles" 0.2 (Retry.backoff_delay b ~failures:2);
@@ -319,8 +318,7 @@ let test_backoff_delay () =
 
 let test_backoff_jitter_deterministic () =
   let b =
-    { Retry.default_backoff with base = 0.1; factor = 2.; cap = 10.;
-      jitter = 0.5 }
+    { Retry.base = 0.1; factor = 2.; cap = 10.; jitter = 0.5 }
   in
   let d1 = Retry.backoff_delay ~rng:(Rng.create 7L) b ~failures:3 in
   let d2 = Retry.backoff_delay ~rng:(Rng.create 7L) b ~failures:3 in
@@ -330,74 +328,23 @@ let test_backoff_jitter_deterministic () =
   let d3 = Retry.backoff_delay ~rng:(Rng.create 8L) b ~failures:3 in
   Alcotest.(check bool) "different seed dithers differently" true (d1 <> d3)
 
-(* A fake clock whose time only advances when the policy sleeps: the
-   schedule assertions are exact and the test itself never sleeps. *)
-let recording_clock () =
-  let t = ref 0. and slept = ref [] in
-  let sleep d =
-    slept := d :: !slept;
-    t := !t +. d
-  in
-  ((fun () -> !t), sleep, fun () -> List.rev !slept)
-
-let test_with_backoff_schedule () =
-  let policy =
-    { Retry.base = 0.1; factor = 2.; cap = 10.; jitter = 0.;
-      max_attempts = 4; budget = infinity }
-  in
-  let now, sleep, slept = recording_clock () in
-  let attempts = ref [] in
+(* The pacing characterization uses: [pause_of_backoff] between escalation
+   rungs sleeps the undithered schedule before every re-attempt and never
+   before the first.  A recording [sleep] keeps the test from sleeping. *)
+let test_escalation_paced_by_backoff () =
+  let b = { Retry.base = 0.1; factor = 2.; cap = 10.; jitter = 0. } in
+  let slept = ref [] in
+  let sleep d = slept := d :: !slept in
   let outcome =
-    Retry.with_backoff ~sleep ~now policy (fun ~attempt ->
-        attempts := attempt :: !attempts;
-        Error attempt)
+    Retry.with_escalation
+      ~pause:(Retry.pause_of_backoff ~sleep b)
+      ~ladder:[ 0; 1; 2; 3 ]
+      (fun lvl -> if lvl = 3 then Ok "done" else Error lvl)
   in
-  (match outcome with
-  | Retry.Exhausted errors ->
-    Alcotest.(check (list int)) "every attempt's error, in order"
-      [ 0; 1; 2; 3 ] errors
-  | _ -> Alcotest.fail "expected Exhausted");
-  Alcotest.(check (list int)) "attempt numbers" [ 0; 1; 2; 3 ]
-    (List.rev !attempts);
-  Alcotest.(check (list (float 1e-9))) "undithered exponential schedule"
-    [ 0.1; 0.2; 0.4 ] (slept ())
-
-let test_with_backoff_budget () =
-  (* base 0.4, factor 2: the second delay (0.8) would land at 1.2 > 0.5,
-     so the policy stops after two attempts and one sleep. *)
-  let policy =
-    { Retry.base = 0.4; factor = 2.; cap = 10.; jitter = 0.;
-      max_attempts = 100; budget = 0.5 }
-  in
-  let now, sleep, slept = recording_clock () in
-  let outcome =
-    Retry.with_backoff ~sleep ~now policy (fun ~attempt -> Error attempt)
-  in
-  Alcotest.(check int) "budget cut the attempts" 2 (Retry.attempts outcome);
-  Alcotest.(check (list (float 1e-9))) "only the affordable sleep taken"
-    [ 0.4 ] (slept ())
-
-let test_with_backoff_recovers_deterministically () =
-  let policy =
-    { Retry.base = 0.01; factor = 2.; cap = 1.; jitter = 0.5;
-      max_attempts = 8; budget = infinity }
-  in
-  let run seed =
-    let now, sleep, slept = recording_clock () in
-    let outcome =
-      Retry.with_backoff ~sleep ~now ~rng:(Rng.create seed) policy
-        (fun ~attempt -> if attempt = 3 then Ok "done" else Error attempt)
-    in
-    (outcome, slept ())
-  in
-  let o1, s1 = run 5L in
-  let _, s2 = run 5L in
-  (match o1 with
-  | Retry.Recovered ("done", errors) ->
-    Alcotest.(check (list int)) "failed attempts recorded" [ 0; 1; 2 ] errors
-  | _ -> Alcotest.fail "expected Recovered");
-  Alcotest.(check (list (float 0.))) "bit-identical jittered schedule" s1 s2;
-  Alcotest.(check int) "slept between every attempt" 3 (List.length s1)
+  Alcotest.(check (list int)) "failed rungs recorded" [ 0; 1; 2 ]
+    (Retry.errors outcome);
+  Alcotest.(check (list (float 1e-9))) "one pause per re-attempt"
+    [ 0.1; 0.2; 0.4 ] (List.rev !slept)
 
 (* -------------------------------- lru -------------------------------- *)
 
@@ -474,10 +421,8 @@ let suite =
     ("pool: balances a skewed input", `Quick, test_pool_balances_skewed_input);
     ("backoff: capped exponential delays", `Quick, test_backoff_delay);
     ("backoff: deterministic jitter", `Quick, test_backoff_jitter_deterministic);
-    ("backoff: exact schedule", `Quick, test_with_backoff_schedule);
-    ("backoff: budget bounds total time", `Quick, test_with_backoff_budget);
-    ("backoff: recovery with seeded schedule", `Quick,
-     test_with_backoff_recovers_deterministically);
+    ("backoff: paces escalation rungs", `Quick,
+     test_escalation_paced_by_backoff);
     ("lru: eviction order", `Quick, test_lru_eviction_order);
     ("lru: replace promotes", `Quick, test_lru_replace_promotes);
     ("lru: remove and clear", `Quick, test_lru_remove_clear);
