@@ -8,7 +8,8 @@
    check it parses and names every scenario it was asked to run.
 
    Usage:
-     bench/main.exe                 run all figure reproductions (full mode)
+     bench/main.exe                 run every experiment of Experiments.all
+                                    (full mode)
      bench/main.exe --quick         reduced design set / image size
      bench/main.exe fig1 fig5a ...  run selected experiments
      bench/main.exe smoke           tiny-grid smoke scenario (seconds, no cache)
@@ -58,32 +59,12 @@ let runtime_fields ~(before : Runtime.totals) ~(after : Runtime.totals) =
       Some ("heap_mb", Json.of_float after.Runtime.heap_mb);
     ]
 
-let all_figures =
-  [ "fig1"; "fig2"; "fig3"; "fig5a"; "fig5b"; "fig5c"; "fig6a"; "fig6b";
-    "fig6c"; "fig7"; "libgen"; "ablate-backend"; "ablate-slew"; "ablate-topk" ]
-
 let run_experiment t name =
-  let report =
-    match name with
-    | "fig1" -> Experiments.fig1 t
-    | "fig2" -> Experiments.fig2 t
-    | "fig3" -> Experiments.fig3 t
-    | "fig5a" -> Experiments.fig5a t
-    | "fig5b" -> Experiments.fig5b t
-    | "fig5c" -> Experiments.fig5c t
-    | "fig6a" -> Experiments.fig6a t
-    | "fig6b" -> Experiments.fig6b t
-    | "fig6c" -> Experiments.fig6c t
-    | "fig7" -> Experiments.fig7 t ()
-    | "libgen" -> Experiments.libgen t ()
-    | "hold" -> Experiments.hold_check t
-    | "ablate-backend" -> Experiments.ablate_backend t
-    | "ablate-slew" -> Experiments.ablate_slew t
-    | "ablate-topk" -> Experiments.ablate_topk t
-    | other -> failwith ("unknown experiment " ^ other)
-  in
-  print_string report;
-  print_newline ()
+  match List.assoc_opt name Experiments.all with
+  | Some run ->
+    print_string (run t);
+    print_newline ()
+  | None -> failwith ("unknown experiment " ^ name)
 
 (* ------------------------- smoke scenario ------------------------- *)
 
@@ -578,7 +559,8 @@ let () =
       | [ "smoke" ] -> ("smoke", [ "smoke" ])
       | [ "kernel" ] -> ("kernel", [ "kernel" ])
       | [ "surrogate" ] -> ("surrogate", [ "surrogate" ])
-      | [] -> ((if !quick then "quick" else "full"), all_figures)
+      | [] ->
+        ((if !quick then "quick" else "full"), List.map fst Experiments.all)
       | names -> ((if !quick then "quick" else "full"), names)
     in
     Printf.printf "reliability-aware design reproduction — %s mode\n\n%!" mode;

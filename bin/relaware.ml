@@ -25,27 +25,26 @@ module Guardband = Aging_core.Guardband
 module Designs = Aging_designs.Designs
 module Experiments = Aging_core.Experiments
 
-(* ------------------------- telemetry ------------------------- *)
+(* ------------------------- shared arguments ------------------------- *)
 
-(* Every subcommand shares the observability surface: log verbosity,
-   optional metrics/trace dumps written when the command finishes (or
-   dies — the dump runs in a [finally], so a crashed characterization
-   still leaves its counters behind for a post-mortem), and an optional
-   run-ledger append — the persistent record [relaware obs] reads back. *)
+(* Every flow subcommand shares log verbosity, the worker-domain count and
+   an optional run-ledger append: the persistent record (argv, wall time,
+   metrics snapshot, spans, QoR) that [relaware obs] reads back.  The
+   append runs whether the command finishes or dies, so a crashed
+   characterization still leaves its counters behind for a post-mortem. *)
 
 module Obs = Aging_obs
 module Run_ledger = Aging_obs.Run_ledger
 module Tablefmt = Aging_util.Tablefmt
 
-type telemetry = {
+type common = {
   verbose : bool;
   quiet : bool;
-  metrics_out : string option;
-  trace_out : string option;
+  jobs : int;
   ledger_dir : string option;
 }
 
-let telemetry_term =
+let common_term =
   let verbose =
     Arg.(value & flag
          & info [ "verbose" ]
@@ -55,18 +54,13 @@ let telemetry_term =
     Arg.(value & flag
          & info [ "q"; "quiet" ] ~doc:"Silence all progress logging.")
   in
-  let metrics =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the metrics registry (solver counters, cache \
-                   hit/miss, per-span timing histograms) as JSON to \
-                   $(docv) on exit; $(b,-) writes to stdout.")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record hierarchical timed spans and write the trace as \
-                   JSON to $(docv) on exit; $(b,-) writes to stdout.")
+  let jobs =
+    Arg.(value & opt int (Aging_util.Pool.default_jobs ())
+         & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Worker domains for characterization (cells and corners in \
+                   parallel; results are identical to $(b,--jobs 1)).  \
+                   Default: $(b,AGING_JOBS) if set, else the recommended \
+                   domain count of the machine.")
   in
   let ledger =
     Arg.(value & opt (some string) None
@@ -76,11 +70,34 @@ let telemetry_term =
                    $(docv)/ledger.jsonl on exit.  Inspect with \
                    $(b,relaware obs).")
   in
-  Term.(const (fun verbose quiet metrics_out trace_out ledger_dir ->
-            { verbose; quiet; metrics_out; trace_out; ledger_dir })
-        $ verbose $ quiet $ metrics $ trace $ ledger)
+  Term.(const (fun verbose quiet jobs ledger_dir ->
+            { verbose; quiet; jobs; ledger_dir })
+        $ verbose $ quiet $ jobs $ ledger)
 
-(* "-" dumps to stdout so telemetry can be piped straight into jq. *)
+let with_telemetry ~cmd c f =
+  if c.quiet then Obs.Log.set_level Obs.Log.Quiet
+  else if c.verbose then Obs.Log.set_level Obs.Log.Debug;
+  match c.ledger_dir with
+  | None -> f ()
+  | Some dir -> (
+    Obs.Span.set_recording true;
+    let started_at = Unix.gettimeofday () in
+    let m0 = Obs.Span.elapsed () in
+    let append outcome =
+      let record =
+        Run_ledger.capture ~tool:"relaware" ~subcommand:cmd ~outcome
+          ~started_at ~wall_s:(Obs.Span.elapsed () -. m0) ()
+      in
+      let path = Run_ledger.append ~dir record in
+      Obs.Log.infof "ledger" "run %s appended to %s" record.Run_ledger.id path
+    in
+    match f () with
+    | () -> append Run_ledger.Finished
+    | exception e ->
+      append (Run_ledger.Failed (Printexc.to_string e));
+      raise e)
+
+(* "-" writes to stdout so output can be piped straight into jq. *)
 let write_file path text =
   if path = "-" then (print_string text; flush stdout)
   else begin
@@ -88,43 +105,6 @@ let write_file path text =
     Fun.protect ~finally:(fun () -> close_out oc)
       (fun () -> output_string oc text)
   end
-
-let with_telemetry ~cmd t f =
-  if t.quiet then Obs.Log.set_level Obs.Log.Quiet
-  else if t.verbose then Obs.Log.set_level Obs.Log.Debug;
-  if t.trace_out <> None || t.ledger_dir <> None then
-    Obs.Span.set_recording true;
-  let started_at = Unix.gettimeofday () in
-  let m0 = Obs.Span.elapsed () in
-  let dump outcome =
-    Option.iter
-      (fun path ->
-        write_file path
-          (Obs.Json.to_string ~pretty:true (Obs.Metrics.to_json ()) ^ "\n"))
-      t.metrics_out;
-    Option.iter
-      (fun path ->
-        write_file path
-          (Obs.Json.to_string ~pretty:true (Obs.Span.to_json ()) ^ "\n"))
-      t.trace_out;
-    Option.iter
-      (fun dir ->
-        let record =
-          Run_ledger.capture ~tool:"relaware" ~subcommand:cmd ~outcome
-            ~started_at ~wall_s:(Obs.Span.elapsed () -. m0) ()
-        in
-        let path = Run_ledger.append ~dir record in
-        Obs.Log.infof "ledger" "run %s appended to %s" record.Run_ledger.id
-          path)
-      t.ledger_dir
-  in
-  match f () with
-  | () -> dump Run_ledger.Finished
-  | exception e ->
-    dump (Run_ledger.Failed (Printexc.to_string e));
-    raise e
-
-(* ------------------------- shared arguments ------------------------- *)
 
 let corner_conv =
   let parse s =
@@ -143,39 +123,48 @@ let corner_conv =
   let print fmt c = Format.fprintf fmt "%s" (Scenario.suffix c) in
   Arg.conv (parse, print)
 
-let corner_arg =
-  Arg.(value & opt corner_conv Scenario.worst_case
-       & info [ "corner" ] ~docv:"LP,LN"
-           ~doc:"Aging corner as pMOS,nMOS duty cycles (default worst case 1,1).")
-
-let years_arg =
-  Arg.(value & opt float 10. & info [ "years" ] ~docv:"YEARS" ~doc:"Lifetime in years.")
-
-let grid_conv = Arg.enum [ ("paper", Axes.paper); ("coarse", Axes.coarse) ]
-
-let axes_arg =
-  Arg.(value & opt grid_conv Axes.paper
-       & info [ "axes" ] ~docv:"GRID" ~doc:"OPC grid: paper (7x7) or coarse (3x3).")
-
 let cache_arg =
   Arg.(value & opt string "_libcache"
        & info [ "cache" ] ~docv:"DIR" ~doc:"Library cache directory.")
 
-let jobs_arg =
-  Arg.(value & opt int (Aging_util.Pool.default_jobs ())
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for characterization (cells and corners in \
-                 parallel; results are identical to $(b,--jobs 1)).  \
-                 Default: $(b,AGING_JOBS) if set, else the recommended \
-                 domain count of the machine.")
+(* The degradation-library configuration of the subcommands that time or
+   build against one aging corner. *)
+type deglib_opts = {
+  corner : Scenario.corner;
+  years : float;
+  axes : Axes.t;
+  cache : string;
+}
+
+let deglib_term =
+  let corner =
+    Arg.(value & opt corner_conv Scenario.worst_case
+         & info [ "corner" ] ~docv:"LP,LN"
+             ~doc:"Aging corner as pMOS,nMOS duty cycles (default worst \
+                   case 1,1).")
+  in
+  let years =
+    Arg.(value & opt float 10.
+         & info [ "years" ] ~docv:"YEARS" ~doc:"Lifetime in years.")
+  in
+  let axes =
+    Arg.(value & opt (enum [ ("paper", Axes.paper); ("coarse", Axes.coarse) ])
+           Axes.paper
+         & info [ "axes" ] ~docv:"GRID"
+             ~doc:"OPC grid: paper (7x7) or coarse (3x3).")
+  in
+  Term.(const (fun corner years axes cache -> { corner; years; axes; cache })
+        $ corner $ years $ axes $ cache_arg)
+
+let deglib_of ?backend ?cells ?surrogate c d =
+  Deg.create ?backend ?cells ~axes:d.axes ~years:d.years ~cache_dir:d.cache
+    ~jobs:c.jobs ?surrogate ()
+
+let design_conv = Arg.enum (List.map (fun d -> (d, d)) Designs.names)
 
 let design_arg =
-  let all = [ "DSP"; "FFT"; "RISC-6P"; "RISC-5P"; "VLIW"; "DCT"; "IDCT" ] in
-  Arg.(required & opt (some (enum (List.map (fun d -> (d, d)) all))) None
+  Arg.(required & opt (some design_conv) None
        & info [ "design" ] ~docv:"NAME" ~doc:"Benchmark design name.")
-
-let deglib_of ~axes ~years ~cache ~jobs =
-  Deg.create ~axes ~years ~cache_dir:cache ~jobs ()
 
 let design_of name =
   match Designs.by_name name with
@@ -201,11 +190,12 @@ let cells_of = function
 
 (* QoR probe for ledgered characterize runs: library-wide delay statistics
    plus a static timing pass of the 4-bit counter against the built aged
-   library vs a fresh characterization of the same cells.  This puts a
+   library vs the fresh library of the same cells, built through the same
+   cache (a cache-served run simulates nothing).  This puts a
    guardband number — a genuine quality axis, not just wall time and
    counters — into every record, so [obs diff] can catch a physics or
    characterization regression between two commits. *)
-let note_characterize_qor ~axes ~jobs lib =
+let note_characterize_qor c d lib =
   let entries = Aging_liberty.Library.entries lib in
   let n = List.length entries in
   Run_ledger.note_qor "lib.cells" (float_of_int n);
@@ -244,7 +234,7 @@ let note_characterize_qor ~axes ~jobs lib =
       (String.concat ", " missing)
   else begin
     let cells = List.map Aging_cells.Catalog.find_exn probe_cells in
-    let fresh_lib = Characterize.fresh_library ~cells ~jobs ~axes () in
+    let fresh_lib = Deg.fresh (deglib_of ~cells c d) in
     let aged = Timing.analyze ~library:lib counter in
     let fresh = Timing.analyze ~library:fresh_lib counter in
     let fresh_ps = Timing.min_period fresh *. 1e12 in
@@ -303,9 +293,9 @@ let characterize_cmd =
              ~doc:"Target seed simulations per (slew, load) grid (default \
                    12).")
   in
-  let run tele corner years axes cache jobs cells out report fault_rate
-      fault_seed surrogate surrogate_tol surrogate_sample =
-    with_telemetry ~cmd:"characterize" tele @@ fun () ->
+  let run c d cells out report fault_rate fault_seed surrogate surrogate_tol
+      surrogate_sample =
+    with_telemetry ~cmd:"characterize" c @@ fun () ->
     let backend =
       if fault_rate > 0. then
         Characterize.Faulty
@@ -321,18 +311,15 @@ let characterize_cmd =
              ~sample:surrogate_sample ())
       else None
     in
-    let deglib =
-      Deg.create ~backend ?cells ~axes ~years ~cache_dir:cache ~jobs
-        ?surrogate ()
-    in
-    let lib = Deg.corner deglib corner in
+    let deglib = deglib_of ~backend ?cells ?surrogate c d in
+    let lib = Deg.corner deglib d.corner in
     Io.save out lib;
     Printf.printf "wrote %s: %d cells, corner %s, %g years\n" out
       (List.length (Aging_liberty.Library.entries lib))
-      (Scenario.suffix corner) years;
-    if tele.ledger_dir <> None then begin
-      Run_ledger.note "jobs" (Obs.Json.Int jobs);
-      note_characterize_qor ~axes ~jobs lib;
+      (Scenario.suffix d.corner) d.years;
+    if c.ledger_dir <> None then begin
+      Run_ledger.note "jobs" (Obs.Json.Int c.jobs);
+      note_characterize_qor c d lib;
       (* Surrogate accounting of the corner build (anchor builds carry no
          provenance and contribute nothing here). *)
       List.iter
@@ -362,21 +349,20 @@ let characterize_cmd =
   in
   Cmd.v
     (Cmd.info "characterize" ~doc:"Build a degradation-aware cell library")
-    Term.(const run $ telemetry_term $ corner_arg $ years_arg $ axes_arg
-          $ cache_arg $ jobs_arg $ cells_arg $ out_arg $ report_arg
-          $ fault_rate_arg $ fault_seed_arg $ surrogate_arg
+    Term.(const run $ common_term $ deglib_term $ cells_arg $ out_arg
+          $ report_arg $ fault_rate_arg $ fault_seed_arg $ surrogate_arg
           $ surrogate_tol_arg $ surrogate_sample_arg)
 
 (* ------------------------------ report ------------------------------ *)
 
 let report_cmd =
-  let run tele name corner years axes cache jobs =
-    with_telemetry ~cmd:"report" tele @@ fun () ->
-    let deglib = deglib_of ~axes ~years ~cache ~jobs in
+  let run c d name =
+    with_telemetry ~cmd:"report" c @@ fun () ->
+    let deglib = deglib_of c d in
     let design = design_of name in
     let fresh = Timing.analyze ~library:(Deg.fresh deglib) design in
-    let aged = Timing.analyze ~library:(Deg.corner deglib corner) design in
-    if tele.ledger_dir <> None then begin
+    let aged = Timing.analyze ~library:(Deg.corner deglib d.corner) design in
+    if c.ledger_dir <> None then begin
       let fresh_ps = Timing.min_period fresh *. 1e12 in
       let aged_ps = Timing.min_period aged *. 1e12 in
       Run_ledger.note "design" (Obs.Json.String name);
@@ -389,8 +375,7 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Static timing of a benchmark design, fresh vs aged")
-    Term.(const run $ telemetry_term $ design_arg $ corner_arg $ years_arg
-          $ axes_arg $ cache_arg $ jobs_arg)
+    Term.(const run $ common_term $ deglib_term $ design_arg)
 
 (* ---------------------------- guardband ---------------------------- *)
 
@@ -401,10 +386,11 @@ let guardband_cmd =
          & info [ "method" ] ~docv:"M"
              ~doc:"full | vth-only | single-opc | cp-only (prior-work models).")
   in
-  let run tele name corner years axes cache jobs meth =
-    with_telemetry ~cmd:"guardband" tele @@ fun () ->
-    let deglib = deglib_of ~axes ~years ~cache ~jobs in
+  let run c d name meth =
+    with_telemetry ~cmd:"guardband" c @@ fun () ->
+    let deglib = deglib_of c d in
     let design = design_of name in
+    let corner = d.corner in
     let g =
       match meth with
       | `Full -> Guardband.static ~deglib ~corner design
@@ -412,7 +398,7 @@ let guardband_cmd =
       | `Sopc -> Guardband.single_opc ~deglib ~corner design
       | `Cp -> Guardband.initial_cp_only ~deglib ~corner design
     in
-    if tele.ledger_dir <> None then begin
+    if c.ledger_dir <> None then begin
       Run_ledger.note "design" (Obs.Json.String name);
       Run_ledger.note_qor "fresh_ps" (g.Guardband.fresh_period *. 1e12);
       Run_ledger.note_qor "aged_ps" (g.Guardband.aged_period *. 1e12);
@@ -427,47 +413,45 @@ let guardband_cmd =
   in
   Cmd.v
     (Cmd.info "guardband" ~doc:"Estimate the aging guardband of a design")
-    Term.(const run $ telemetry_term $ design_arg $ corner_arg $ years_arg
-          $ axes_arg $ cache_arg $ jobs_arg $ method_arg)
+    Term.(const run $ common_term $ deglib_term $ design_arg $ method_arg)
 
 (* ------------------------------ synth ------------------------------ *)
 
 let synth_cmd =
-  let run tele name corner years axes cache jobs =
-    with_telemetry ~cmd:"synth" tele @@ fun () ->
-    let deglib = deglib_of ~axes ~years ~cache ~jobs in
+  let run c d name =
+    with_telemetry ~cmd:"synth" c @@ fun () ->
+    let deglib = deglib_of c d in
     let design = design_of name in
-    let c = Aging_core.Aging_synthesis.run ~corner ~deglib design in
     let module AS = Aging_core.Aging_synthesis in
-    if tele.ledger_dir <> None then begin
+    let r = AS.run ~corner:d.corner ~deglib design in
+    if c.ledger_dir <> None then begin
       Run_ledger.note "design" (Obs.Json.String name);
-      Run_ledger.note_qor "trad_fresh_ps" (c.AS.trad_fresh_period *. 1e12);
-      Run_ledger.note_qor "trad_aged_ps" (c.AS.trad_aged_period *. 1e12);
-      Run_ledger.note_qor "aware_fresh_ps" (c.AS.aware_fresh_period *. 1e12);
-      Run_ledger.note_qor "aware_aged_ps" (c.AS.aware_aged_period *. 1e12);
+      Run_ledger.note_qor "trad_fresh_ps" (r.AS.trad_fresh_period *. 1e12);
+      Run_ledger.note_qor "trad_aged_ps" (r.AS.trad_aged_period *. 1e12);
+      Run_ledger.note_qor "aware_fresh_ps" (r.AS.aware_fresh_period *. 1e12);
+      Run_ledger.note_qor "aware_aged_ps" (r.AS.aware_aged_period *. 1e12);
       Run_ledger.note_qor "guardband_reduction_pct"
-        (AS.guardband_reduction c *. 100.);
-      Run_ledger.note_qor "area_overhead_pct" (AS.area_overhead c *. 100.)
+        (AS.guardband_reduction r *. 100.);
+      Run_ledger.note_qor "area_overhead_pct" (AS.area_overhead r *. 100.)
     end;
     Printf.printf
       "traditional: fresh %.1f ps, aged %.1f ps\n\
        aging-aware: fresh %.1f ps, aged %.1f ps\n\
        required guardband %.1f ps, contained %.1f ps (reduction %.1f%%)\n\
        frequency gain %.2f%%, area overhead %.2f%%\n"
-      (c.AS.trad_fresh_period *. 1e12)
-      (c.AS.trad_aged_period *. 1e12)
-      (c.AS.aware_fresh_period *. 1e12)
-      (c.AS.aware_aged_period *. 1e12)
-      (AS.required_guardband c *. 1e12)
-      (AS.contained_guardband c *. 1e12)
-      (AS.guardband_reduction c *. 100.)
-      (AS.frequency_gain c *. 100.)
-      (AS.area_overhead c *. 100.)
+      (r.AS.trad_fresh_period *. 1e12)
+      (r.AS.trad_aged_period *. 1e12)
+      (r.AS.aware_fresh_period *. 1e12)
+      (r.AS.aware_aged_period *. 1e12)
+      (AS.required_guardband r *. 1e12)
+      (AS.contained_guardband r *. 1e12)
+      (AS.guardband_reduction r *. 100.)
+      (AS.frequency_gain r *. 100.)
+      (AS.area_overhead r *. 100.)
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Traditional vs aging-aware synthesis of a design")
-    Term.(const run $ telemetry_term $ design_arg $ corner_arg $ years_arg
-          $ axes_arg $ cache_arg $ jobs_arg)
+    Term.(const run $ common_term $ deglib_term $ design_arg)
 
 (* ------------------------------ export ------------------------------ *)
 
@@ -482,13 +466,12 @@ let export_cmd =
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output path.")
   in
   let design_opt =
-    let all = [ "DSP"; "FFT"; "RISC-6P"; "RISC-5P"; "VLIW"; "DCT"; "IDCT" ] in
-    Arg.(value & opt (some (enum (List.map (fun d -> (d, d)) all))) None
+    Arg.(value & opt (some design_conv) None
          & info [ "design" ] ~docv:"NAME" ~doc:"Design (verilog/sdf exports).")
   in
-  let run tele what name corner years axes cache jobs out =
-    with_telemetry ~cmd:"export" tele @@ fun () ->
-    let deglib = deglib_of ~axes ~years ~cache ~jobs in
+  let run c d what name out =
+    with_telemetry ~cmd:"export" c @@ fun () ->
+    let deglib = deglib_of c d in
     let required_design () =
       match name with
       | Some n -> design_of n
@@ -497,11 +480,12 @@ let export_cmd =
     begin
       match what with
       | `Liberty ->
-        Aging_liberty.Liberty_format.save out (Deg.corner deglib corner)
+        Aging_liberty.Liberty_format.save out (Deg.corner deglib d.corner)
       | `Verilog -> Aging_netlist.Export.save out (required_design ())
       | `Sdf ->
         let analysis =
-          Timing.analyze ~library:(Deg.corner deglib corner) (required_design ())
+          Timing.analyze ~library:(Deg.corner deglib d.corner)
+            (required_design ())
         in
         Aging_sta.Sdf.save out analysis
     end;
@@ -510,8 +494,8 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Write Verilog netlists, aged SDF files, or .lib libraries")
-    Term.(const run $ telemetry_term $ what_arg $ design_opt $ corner_arg
-          $ years_arg $ axes_arg $ cache_arg $ jobs_arg $ out_arg)
+    Term.(const run $ common_term $ deglib_term $ what_arg $ design_opt
+          $ out_arg)
 
 (* ---------------------------- experiment ---------------------------- *)
 
@@ -519,39 +503,22 @@ let experiment_cmd =
   let which_arg =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"FIG"
-             ~doc:"fig1 fig2 fig3 fig5a fig5b fig5c fig6a fig6b fig6c fig7 \
-                   libgen ablate-backend ablate-slew ablate-topk")
+             ~doc:(String.concat " " (List.map fst Experiments.all)))
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced design set / image size.")
   in
-  let run tele which quick cache jobs =
-    with_telemetry ~cmd:("experiment-" ^ which) tele @@ fun () ->
-    let t = Experiments.create ~quick ~cache_dir:cache ~jobs () in
-    let report =
-      match which with
-      | "fig1" -> Experiments.fig1 t
-      | "fig2" -> Experiments.fig2 t
-      | "fig3" -> Experiments.fig3 t
-      | "fig5a" -> Experiments.fig5a t
-      | "fig5b" -> Experiments.fig5b t
-      | "fig5c" -> Experiments.fig5c t
-      | "fig6a" -> Experiments.fig6a t
-      | "fig6b" -> Experiments.fig6b t
-      | "fig6c" -> Experiments.fig6c t
-      | "fig7" -> Experiments.fig7 t ()
-      | "libgen" -> Experiments.libgen t ()
-      | "ablate-backend" -> Experiments.ablate_backend t
-      | "ablate-slew" -> Experiments.ablate_slew t
-      | "ablate-topk" -> Experiments.ablate_topk t
-      | other -> failwith ("unknown experiment: " ^ other)
-    in
-    print_string report
+  let run c which quick cache =
+    with_telemetry ~cmd:("experiment-" ^ which) c @@ fun () ->
+    match List.assoc_opt which Experiments.all with
+    | Some experiment ->
+      let t = Experiments.create ~quick ~cache_dir:cache ~jobs:c.jobs () in
+      print_string (experiment t)
+    | None -> failwith ("unknown experiment: " ^ which)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's figures")
-    Term.(const run $ telemetry_term $ which_arg $ quick_arg $ cache_arg
-          $ jobs_arg)
+    Term.(const run $ common_term $ which_arg $ quick_arg $ cache_arg)
 
 (* ------------------------------ check ------------------------------ *)
 
@@ -583,17 +550,17 @@ let check_cmd =
     Arg.(value & flag
          & info [ "list" ] ~doc:"List the oracles and exit.")
   in
-  let run tele seed cases jobs only list_only =
+  let run c seed cases only list_only =
     if list_only then
       List.iter
         (fun (o : Oracles.t) -> Printf.printf "%-20s %s\n" o.Oracles.name o.Oracles.doc)
         (Oracles.all ())
     else begin
       let failed = ref 0 in
-      with_telemetry ~cmd:"check" tele (fun () ->
+      with_telemetry ~cmd:"check" c (fun () ->
           (* Library builds inside the oracles narrate at info level;
              keep the report readable unless the user asked for detail. *)
-          if (not tele.verbose) && not tele.quiet then
+          if (not c.verbose) && not c.quiet then
             Obs.Log.set_level Obs.Log.Warn;
           let oracles =
             match only with
@@ -611,12 +578,12 @@ let check_cmd =
           let total_cases = ref 0 in
           List.iter
             (fun (o : Oracles.t) ->
-              let outcome = o.Oracles.run ~seed ~cases ~jobs in
+              let outcome = o.Oracles.run ~seed ~cases ~jobs:c.jobs in
               print_endline (Runner.pp_outcome outcome);
               total_cases := !total_cases + outcome.Runner.cases_run;
               let nfail = List.length outcome.Runner.failures in
               if nfail > 0 then incr failed;
-              if tele.ledger_dir <> None then begin
+              if c.ledger_dir <> None then begin
                 Run_ledger.note_qor
                   ("check." ^ o.Oracles.name ^ ".cases")
                   (float_of_int outcome.Runner.cases_run);
@@ -625,7 +592,7 @@ let check_cmd =
                   (float_of_int nfail)
               end)
             oracles;
-          if tele.ledger_dir <> None then begin
+          if c.ledger_dir <> None then begin
             Run_ledger.note "seed" (Obs.Json.String (Int64.to_string seed));
             Run_ledger.note_qor "check.oracles"
               (float_of_int (List.length oracles));
@@ -643,14 +610,15 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Property-based differential verification with replayable seeds")
-    Term.(const run $ telemetry_term $ seed_arg $ cases_arg $ jobs_arg
-          $ only_arg $ list_arg)
+    Term.(const run $ common_term $ seed_arg $ cases_arg $ only_arg
+          $ list_arg)
 
 (* ------------------------------- obs ------------------------------- *)
 
 (* Readers over the run ledger: [obs report] (one record as a profile),
    [obs trace] (Chrome trace export), [obs diff] (regression gate),
-   [obs export] (OpenMetrics text) and [obs history] (drift over runs).
+   [obs export] (the stored metrics snapshot) and [obs history] (drift
+   over runs).
    These take their own --ledger (a place to read, default "runs") and do
    not go through [with_telemetry] — inspecting the ledger should never
    append to it. *)
@@ -801,7 +769,7 @@ let obs_trace_cmd =
     if r.Run_ledger.spans = [] then
       failwith
         (Printf.sprintf
-           "run %s recorded no spans (was it run with --trace or --ledger?)"
+           "run %s recorded no spans"
            r.Run_ledger.id);
     let rec any_span pred spans =
       List.exists
@@ -842,10 +810,6 @@ let obs_trace_cmd =
    regression, their disappearance is not); wall time is informational
    unless given an explicit tolerance — a cache-served rerun is legitimately
    ~100x faster than a cold build and must not trip the gate. *)
-let health_counters =
-  [ "characterize.points.retried"; "characterize.points.repaired";
-    "characterize.points.failed"; "cache.corrupt" ]
-
 let obs_diff_cmd =
   let tol_arg =
     Arg.(value & opt_all string []
@@ -964,7 +928,7 @@ let obs_diff_cmd =
                (List.assoc_opt name b.Run_ledger.qor)
                (tol_for name ~fallback:default_tol))
            qor_names
-      @ List.map counter_row health_counters
+      @ List.map counter_row Obs.History.health_counters
     in
     let body =
       List.map
@@ -1002,48 +966,28 @@ let obs_diff_cmd =
               ~doc:"Candidate record (default $(b,-1), the newest)."
           $ tol_arg $ allow_missing_arg)
 
-(* Export one record's stored metrics snapshot in a machine-readable
-   format — OpenMetrics text so archived runs can be pushed at anything
-   that speaks Prometheus, or the raw stored JSON. *)
+(* Export one record's stored metrics snapshot (the JSON the record
+   carries, verbatim). *)
 let obs_export_cmd =
-  let format_arg =
-    Arg.(value & opt (enum [ ("openmetrics", `Openmetrics); ("json", `Json) ])
-           `Openmetrics
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:"openmetrics (Prometheus text exposition) or json (the \
-                   stored snapshot verbatim).")
-  in
   let out_arg =
     Arg.(value & opt string "-"
          & info [ "out"; "o" ] ~docv:"FILE"
              ~doc:"Output path ($(b,-) = stdout).")
   in
-  let run dir sel format out =
+  let run dir sel out =
     let r = select_run (load_ledger dir) sel in
-    let text =
-      match format with
-      | `Json -> Obs.Json.to_string ~pretty:true r.Run_ledger.metrics ^ "\n"
-      | `Openmetrics -> begin
-        match Obs.Openmetrics.render_stored r.Run_ledger.metrics with
-        | Ok text -> text
-        | Error msg ->
-          failwith
-            (Printf.sprintf "run %s: metrics snapshot unreadable: %s"
-               r.Run_ledger.id msg)
-      end
-    in
-    write_file out text;
+    write_file out
+      (Obs.Json.to_string ~pretty:true r.Run_ledger.metrics ^ "\n");
     if out <> "-" then
       Printf.printf "wrote %s from run %s\n" out r.Run_ledger.id
   in
   Cmd.v
     (Cmd.info "export"
-       ~doc:"Export one ledger record's metrics snapshot (OpenMetrics or \
-             JSON)")
+       ~doc:"Export one ledger record's metrics snapshot as JSON")
     Term.(const run $ obs_ledger_arg
           $ run_selector_arg ~at:0 ~default:"-1"
               ~doc:"Record selector (as in $(b,obs report))."
-          $ format_arg $ out_arg)
+          $ out_arg)
 
 (* Time-series view over the last N records: sparkline per metric, robust
    drift score of the newest value against the trailing window.  [--gate]

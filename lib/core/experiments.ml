@@ -627,3 +627,22 @@ let ablate_topk t =
       rows
   ^ "rank 1 means no switch; larger ranks show why top-k tracking needs care \
      (Sec. 3)\n"
+
+let all =
+  [
+    ("fig1", fig1);
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig5a", fig5a);
+    ("fig5b", fig5b);
+    ("fig5c", fig5c);
+    ("fig6a", fig6a);
+    ("fig6b", fig6b);
+    ("fig6c", fig6c);
+    ("fig7", fun t -> fig7 t ());
+    ("libgen", fun t -> libgen t ());
+    ("ablate-backend", ablate_backend);
+    ("ablate-slew", ablate_slew);
+    ("ablate-topk", ablate_topk);
+    ("hold", hold_check);
+  ]

@@ -4,8 +4,8 @@
     runs the full pipeline (characterization -> libraries -> STA / synthesis
     / gate-level simulation), prints the same rows or series the paper
     reports (annotated with the paper's own numbers for comparison) and
-    returns the formatted report.  The benchmark executable simply
-    dispatches to these. *)
+    returns the formatted report.  The benchmark executable and
+    [relaware experiment] both dispatch through {!all}. *)
 
 type t
 (** Shared experiment context: the degradation-library managers (with disk
@@ -73,7 +73,7 @@ val hold_check : t -> string
     some arcs get faster with age (Fig. 1b), shortest-path arrivals shrink;
     this reports fresh vs worst-case-aged minimum hold slack per design and
     how many flip-flops lose hold margin.  Not part of the paper's figure
-    set; run explicitly with [bench/main.exe hold]. *)
+    set. *)
 
 val ablate_backend : t -> string
 (** Transient vs closed-form characterization divergence (the multi-stage
@@ -85,3 +85,9 @@ val ablate_slew : t -> string
 val ablate_topk : t -> string
 (** How many worst paths must be tracked for the post-aging critical path
     to be captured (Sec. 3 discussion of top-x% approaches). *)
+
+val all : (string * (t -> string)) list
+(** Every experiment by its command-line name, in the order of a full
+    benchmark run: the paper's figures, [libgen], the ablations, then the
+    [hold] extension.  Default arguments apply ([fig7]'s output directory,
+    [libgen]'s corner sub-grid). *)

@@ -274,24 +274,18 @@ let counter ~bits =
   Bv.output c "count" q;
   Builder.finish b
 
-let all () =
+let table =
   [
-    ("DSP", dsp ());
-    ("FFT", fft ());
-    ("RISC-6P", risc6 ());
-    ("RISC-5P", risc5 ());
-    ("VLIW", vliw ());
-    ("DCT", dct ());
-    ("IDCT", idct ());
+    ("DSP", dsp);
+    ("FFT", fft);
+    ("RISC-6P", risc6);
+    ("RISC-5P", risc5);
+    ("VLIW", vliw);
+    ("DCT", dct);
+    ("IDCT", idct);
   ]
 
+let names = List.map fst table
+let all () = List.map (fun (name, build) -> (name, build ())) table
 let by_name name =
-  match name with
-  | "DSP" -> Some (dsp ())
-  | "FFT" -> Some (fft ())
-  | "RISC-6P" -> Some (risc6 ())
-  | "RISC-5P" -> Some (risc5 ())
-  | "VLIW" -> Some (vliw ())
-  | "DCT" -> Some (dct ())
-  | "IDCT" -> Some (idct ())
-  | _ -> None
+  Option.map (fun build -> build ()) (List.assoc_opt name table)

@@ -41,8 +41,11 @@ val counter : bits:int -> Aging_netlist.Netlist.t
 (** A small up-counter with enable (used by the quickstart example and the
     fast tests). *)
 
-val all : unit -> (string * Aging_netlist.Netlist.t) list
-(** The seven benchmark designs in the paper's order:
+val names : string list
+(** The seven benchmark design names in the paper's order:
     DSP, FFT, RISC-6P, RISC-5P, VLIW, DCT, IDCT. *)
+
+val all : unit -> (string * Aging_netlist.Netlist.t) list
+(** The benchmark designs of {!names}, built. *)
 
 val by_name : string -> Aging_netlist.Netlist.t option

@@ -283,29 +283,9 @@ let rec attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit
     transient_measure ~t_stop_scale ?warm ?state_out options ~base_circuit
       ~cell ~arc ~dir ~slew ~load
 
-(* Pacing between escalation rungs.  A failed rung is usually a
-   deterministic solver problem (retrying immediately with tighter settings
-   is right), but under an injected-fault backend — the stand-in for flaky
-   shared infrastructure — immediate retries against a persistently failing
-   resource just spin.  A short capped-exponential pause with jitter seeded
-   from the point key keeps retries deterministic per point while spreading
-   concurrent workers' retry times apart. *)
-let retry_pause_backoff =
-  { Retry.base = 5e-4; cap = 5e-3; factor = 2.; jitter = 0.5 }
-
 let measure_point backend ~key ?warm ?state_out ~base_circuit ~cell ~arc ~dir
     ~slew ~load () =
-  let pause =
-    match backend with
-    | Transient _ | Analytic -> None
-    | Faulty _ ->
-      let rng =
-        Aging_util.Rng.create (Int64.of_int (Hashtbl.hash ("pause", key)))
-      in
-      Some (fun ~failures ->
-          Retry.pause_of_backoff ~rng retry_pause_backoff ~failures)
-  in
-  Retry.with_escalation ?pause
+  Retry.with_escalation
     ~ladder:(List.init (max_escalations + 1) Fun.id)
     (fun attempt ->
       attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit ~cell

@@ -64,7 +64,7 @@ let sparkline values =
 
 type row = { r_name : string; r_values : float array; r_one_sided : bool }
 
-let default_health_counters =
+let health_counters =
   [
     "characterize.points.retried";
     "characterize.points.repaired";
@@ -82,7 +82,7 @@ let stored_counter record name =
       | _ -> None)
   | None -> None
 
-let rows_of_records ?(health_counters = default_health_counters) records =
+let rows_of_records records =
   let qor_names =
     List.concat_map (fun r -> List.map fst r.Run_ledger.qor) records
     |> List.sort_uniq compare

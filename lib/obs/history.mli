@@ -45,12 +45,13 @@ type row = {
   r_one_sided : bool;  (** health counter: gate increases only *)
 }
 
-val default_health_counters : string list
+val health_counters : string list
+(** The counters both ledger gates watch one-sidedly: this module's drift
+    gate and [relaware obs diff]. *)
 
-val rows_of_records :
-  ?health_counters:string list -> Run_ledger.record list -> row list
+val rows_of_records : Run_ledger.record list -> row list
 (** One row per QoR name seen in the records (two-sided), plus one per
-    [health_counters] entry found in the stored metrics snapshots
+    {!health_counters} entry found in the stored metrics snapshots
     (one-sided), sorted by name.  Records lacking a row are skipped in
     that row's series. *)
 

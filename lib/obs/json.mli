@@ -1,7 +1,7 @@
 (** Minimal JSON values with a printer and a parser.
 
-    The telemetry exporters ({!Metrics.to_json}, {!Span.to_json}, the bench
-    harness's [BENCH.json]) need machine-readable output, and the smoke
+    The telemetry exporters ({!Metrics.to_json}, {!Span.span_to_json}, the
+    bench harness's [BENCH.json]) need machine-readable output, and the smoke
     tooling needs to read it back — all without adding dependencies.  This
     is deliberately small: standard JSON, integers kept distinct from
     floats so counter values round-trip exactly. *)

@@ -123,13 +123,6 @@ let rec span_to_json s =
       ("children", Json.List (List.map span_to_json s.children));
     ]
 
-let to_json () =
-  Json.Obj
-    [
-      ("spans", Json.List (List.map span_to_json (roots ())));
-      ("dropped", Json.Int (Atomic.get dropped_count));
-    ]
-
 (* Inverse of [span_to_json], used by the run ledger to rehydrate recorded
    trees.  Tolerant of nothing: a malformed field is an error naming the
    offending key, so a truncated ledger line cannot yield a half-span. *)

@@ -14,8 +14,8 @@
       paths is fine.
     - When {!set_recording} is on: the full span tree (name, attributes,
       start time, duration, outcome, children) is kept for export via
-      {!roots} / {!to_json}.  Recording is off by default; the CLI's
-      [--trace] and the bench harness switch it on.  Completed child spans
+      {!roots} / {!span_to_json}.  Recording is off by default; the CLI's
+      [--ledger] and the bench harness switch it on.  Completed child spans
       are capped (100k) to bound memory on huge builds — the cap drops
       children, never top-level spans, and {!dropped} reports the loss.
 
@@ -54,12 +54,9 @@ val dropped : unit -> int
 val reset : unit -> unit
 (** Clears recorded spans and the drop counter (not the recording flag). *)
 
-val to_json : unit -> Json.t
-(** [{"spans": [...], "dropped": n}] with children nested. *)
-
 val span_to_json : t -> Json.t
-(** The encoding of one span tree (an element of [to_json]'s ["spans"]
-    list); {!of_json} is its inverse. *)
+(** The encoding of one span tree, children nested; {!of_json} is its
+    inverse. *)
 
 val now : unit -> float
 (** Wall clock, seconds since the Unix epoch — the timebase of [t_start]
@@ -73,5 +70,5 @@ val elapsed : unit -> float
     adjustments. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of the per-span encoding used by {!to_json} (one element of
-    its ["spans"] list).  [Error msg] names the first malformed field. *)
+(** Inverse of {!span_to_json}.  [Error msg] names the first malformed
+    field. *)

@@ -675,99 +675,6 @@ let test_runtime_totals () =
     && Json.member "runtime.gc.major_collections" r.Run_ledger.metrics
        <> None)
 
-(* ----------------------------- openmetrics ----------------------------- *)
-
-module Openmetrics = Aging_obs.Openmetrics
-
-let test_openmetrics_sanitize () =
-  Alcotest.(check string) "dots become underscores" "lib_cells_p99"
-    (Openmetrics.sanitize_name "lib.cells.p99");
-  Alcotest.(check string) "leading digit prefixed" "_9lives"
-    (Openmetrics.sanitize_name "9lives");
-  Alcotest.(check string) "colons survive" "ns:metric_x"
-    (Openmetrics.sanitize_name "ns:metric-x");
-  Alcotest.(check string) "empty becomes underscore" "_"
-    (Openmetrics.sanitize_name "");
-  Alcotest.(check string) "escape backslash quote newline"
-    "a\\\\b\\\"c\\nd"
-    (Openmetrics.escape_label_value "a\\b\"c\nd")
-
-let test_openmetrics_render_parse_roundtrip () =
-  let snapshot =
-    [ ("test.om.requests", Metrics.Counter_value 7);
-      ("test.om.depth", Metrics.Gauge_value 3.5);
-      ( "test.om.lat_ms",
-        Metrics.Histogram_value
-          {
-            Metrics.hs_count = 6;
-            hs_sum = 123.5;
-            hs_buckets = [ (1., 2); (10., 3); (infinity, 1) ];
-          } ) ]
-  in
-  let text = Openmetrics.render_snapshot snapshot in
-  Alcotest.(check bool) "ends with EOF" true
-    (String.length text >= 6
-    && String.sub text (String.length text - 6) 6 = "# EOF\n");
-  match Openmetrics.parse text with
-  | Error msg -> Alcotest.failf "own exposition does not parse: %s" msg
-  | Ok samples ->
-    Alcotest.(check (option (float 0.))) "counter sample" (Some 7.)
-      (Openmetrics.find samples "test_om_requests_total");
-    Alcotest.(check (option (float 0.))) "gauge sample" (Some 3.5)
-      (Openmetrics.find samples "test_om_depth");
-    Alcotest.(check (option (float 0.))) "histogram count" (Some 6.)
-      (Openmetrics.find samples "test_om_lat_ms_count");
-    Alcotest.(check (option (float 1e-9))) "histogram sum" (Some 123.5)
-      (Openmetrics.find samples "test_om_lat_ms_sum");
-    (* Buckets must be cumulative and monotone, with +Inf = count. *)
-    let bucket le =
-      match
-        Openmetrics.find samples ~labels:[ ("le", le) ] "test_om_lat_ms_bucket"
-      with
-      | Some v -> v
-      | None -> Alcotest.failf "bucket le=%s missing" le
-    in
-    Alcotest.(check (float 0.)) "first bucket" 2. (bucket "1");
-    Alcotest.(check (float 0.)) "second bucket cumulative" 5. (bucket "10");
-    Alcotest.(check (float 0.)) "+Inf bucket = count" 6. (bucket "+Inf")
-
-let test_openmetrics_stored_roundtrip () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.om.stored.counter" in
-  Metrics.incr ~by:3 c;
-  let h = Metrics.histogram ~bounds:[| 1.; 10. |] "test.om.stored.hist" in
-  List.iter (Metrics.observe h) [ 0.5; 5.; 50. ];
-  let stored = Json.of_string (Json.to_string (Metrics.to_json ())) in
-  match Openmetrics.values_of_stored_json stored with
-  | Error msg -> Alcotest.failf "stored snapshot rejected: %s" msg
-  | Ok values ->
-    (* Rendering the recovered snapshot equals rendering the live one for
-       the entries we control. *)
-    let text = Openmetrics.render_snapshot values in
-    (match Openmetrics.parse text with
-    | Error msg -> Alcotest.failf "stored render does not parse: %s" msg
-    | Ok samples ->
-      Alcotest.(check (option (float 0.))) "stored counter" (Some 3.)
-        (Openmetrics.find samples "test_om_stored_counter_total");
-      Alcotest.(check (option (float 0.))) "stored histogram +Inf" (Some 3.)
-        (Openmetrics.find samples
-           ~labels:[ ("le", "+Inf") ]
-           "test_om_stored_hist_bucket"));
-    Alcotest.(check bool) "render_stored agrees" true
-      (Openmetrics.render_stored stored = Ok text)
-
-let test_openmetrics_parse_rejects () =
-  let bad s =
-    match Openmetrics.parse s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "accepted malformed exposition %S" s
-  in
-  bad "";  (* no EOF *)
-  bad "x_total 1\n";  (* no EOF *)
-  bad "9bad 1\n# EOF\n";  (* illegal name *)
-  bad "x{le=\"1\" 2\n# EOF\n";  (* unterminated labels *)
-  bad "x notanumber\n# EOF\n"
-
 (* ------------------------------- history ------------------------------- *)
 
 module History = Aging_obs.History
@@ -929,14 +836,6 @@ let suite =
       test_profile_telescopes;
     Alcotest.test_case "runtime sampler gauges and totals" `Quick
       test_runtime_totals;
-    Alcotest.test_case "openmetrics name/label sanitization" `Quick
-      test_openmetrics_sanitize;
-    Alcotest.test_case "openmetrics render/parse round trip" `Quick
-      test_openmetrics_render_parse_roundtrip;
-    Alcotest.test_case "openmetrics from stored snapshot" `Quick
-      test_openmetrics_stored_roundtrip;
-    Alcotest.test_case "openmetrics parser rejects malformed" `Quick
-      test_openmetrics_parse_rejects;
     Alcotest.test_case "history median/mad" `Quick test_history_median_mad;
     Alcotest.test_case "history robust drift" `Quick test_history_drift;
     Alcotest.test_case "history sparkline" `Quick test_history_sparkline;

@@ -304,48 +304,6 @@ let test_pool_balances_skewed_input () =
     (List.map (fun i -> (i * i) + 1) (range n))
     got
 
-(* ------------------------------ backoff ------------------------------ *)
-
-let test_backoff_delay () =
-  let b =
-    { Retry.base = 0.1; factor = 2.; cap = 0.5; jitter = 0. }
-  in
-  check "1st failure" 0.1 (Retry.backoff_delay b ~failures:1);
-  check "2nd doubles" 0.2 (Retry.backoff_delay b ~failures:2);
-  check "3rd doubles again" 0.4 (Retry.backoff_delay b ~failures:3);
-  check "4th capped" 0.5 (Retry.backoff_delay b ~failures:4);
-  check "stays capped" 0.5 (Retry.backoff_delay b ~failures:20)
-
-let test_backoff_jitter_deterministic () =
-  let b =
-    { Retry.base = 0.1; factor = 2.; cap = 10.; jitter = 0.5 }
-  in
-  let d1 = Retry.backoff_delay ~rng:(Rng.create 7L) b ~failures:3 in
-  let d2 = Retry.backoff_delay ~rng:(Rng.create 7L) b ~failures:3 in
-  check "same seed, same dithered delay" d1 d2;
-  Alcotest.(check bool) "within the jitter band" true
-    (d1 <= 0.4 && d1 >= 0.4 *. 0.5);
-  let d3 = Retry.backoff_delay ~rng:(Rng.create 8L) b ~failures:3 in
-  Alcotest.(check bool) "different seed dithers differently" true (d1 <> d3)
-
-(* The pacing characterization uses: [pause_of_backoff] between escalation
-   rungs sleeps the undithered schedule before every re-attempt and never
-   before the first.  A recording [sleep] keeps the test from sleeping. *)
-let test_escalation_paced_by_backoff () =
-  let b = { Retry.base = 0.1; factor = 2.; cap = 10.; jitter = 0. } in
-  let slept = ref [] in
-  let sleep d = slept := d :: !slept in
-  let outcome =
-    Retry.with_escalation
-      ~pause:(Retry.pause_of_backoff ~sleep b)
-      ~ladder:[ 0; 1; 2; 3 ]
-      (fun lvl -> if lvl = 3 then Ok "done" else Error lvl)
-  in
-  Alcotest.(check (list int)) "failed rungs recorded" [ 0; 1; 2 ]
-    (Retry.errors outcome);
-  Alcotest.(check (list (float 1e-9))) "one pause per re-attempt"
-    [ 0.1; 0.2; 0.4 ] (List.rev !slept)
-
 (* -------------------------------- lru -------------------------------- *)
 
 module Lru = Aging_util.Lru
@@ -419,10 +377,6 @@ let suite =
     ("pool: reusable after a worker raises", `Quick,
      test_pool_reusable_after_failure);
     ("pool: balances a skewed input", `Quick, test_pool_balances_skewed_input);
-    ("backoff: capped exponential delays", `Quick, test_backoff_delay);
-    ("backoff: deterministic jitter", `Quick, test_backoff_jitter_deterministic);
-    ("backoff: paces escalation rungs", `Quick,
-     test_escalation_paced_by_backoff);
     ("lru: eviction order", `Quick, test_lru_eviction_order);
     ("lru: replace promotes", `Quick, test_lru_replace_promotes);
     ("lru: remove and clear", `Quick, test_lru_remove_clear);
