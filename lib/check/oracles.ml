@@ -354,7 +354,7 @@ let library_of_case c =
         {
           Library.cell;
           indexed_name =
-            (if c.lc_indexed then name ^ "@" ^ Scenario.suffix corner else name);
+            (if c.lc_indexed then Scenario.indexed_name name corner else name);
           corner;
           arcs;
           pin_caps;

@@ -9,7 +9,6 @@ module Cell = Aging_cells.Cell
 module Metrics = Aging_obs.Metrics
 module Span = Aging_obs.Span
 module Log = Aging_obs.Log
-module Pool = Aging_util.Pool
 module Lru = Aging_util.Lru
 module Surrogate = Aging_liberty.Surrogate
 
@@ -20,7 +19,7 @@ let m_disk_hit = Metrics.counter "cache.disk_hit"
 let m_build = Metrics.counter "cache.build"
 let m_corrupt = Metrics.counter "cache.corrupt"
 
-let default_memo_cap = 256
+let memo_cap = 256
 
 type t = {
   backend : Characterize.backend;
@@ -39,8 +38,8 @@ type t = {
   fingerprint : string;
   reports : (string * Characterize.report) list ref;
   lock : Mutex.t;
-      (* guards [memo] and [reports]: [complete] builds corners on
-         concurrent domains that all land their results here *)
+      (* guards [memo] and [reports], so one manager can serve corners
+         to several domains at once *)
   surrogate : Surrogate.config option;
   mutable anchored : Surrogate.t option;
       (* [surrogate] bound to the anchor libraries, once they are in *)
@@ -57,10 +56,7 @@ let rec backend_tag = function
       f.Characterize.depth (backend_tag inner)
 
 let create ?(backend = Characterize.default_backend) ?cells ?(axes = Axes.paper)
-    ?(years = 10.) ?cache_dir ?(jobs = 1) ?(memo_cap = default_memo_cap)
-    ?surrogate () =
-  if memo_cap < 1 then
-    invalid_arg "Degradation_library.create: memo_cap must be >= 1";
+    ?(years = 10.) ?cache_dir ?(jobs = 1) ?surrogate () =
   let cells = Option.value cells ~default:(Aging_cells.Catalog.all ()) in
   (* The fingerprint must change whenever anything that affects the tables
      changes: cell set, axes, backend, lifetime, and the physics model
@@ -114,7 +110,6 @@ let axes t = t.axes
 let years t = t.years
 let fingerprint t = t.fingerprint
 let memo_length t = Mutex.protect t.lock (fun () -> Lru.length t.memo)
-let memo_cap t = Lru.cap t.memo
 
 let mode_tag = function Degradation.Full -> "full" | Degradation.Vth_only -> "vth"
 
@@ -123,11 +118,9 @@ let mode_tag = function Degradation.Full -> "full" | Degradation.Vth_only -> "vt
    same 0.1 bucket onto one cache entry — harmless for the snapped paper
    grid, silently wrong for the arbitrary corners the API accepts (found
    by the guardband-monotone differential oracle). *)
-let key t ~mode ~indexed corner =
-  Printf.sprintf "%s_y%g_%.17g_%.17g%s_%s" (mode_tag mode) t.years
-    corner.Scenario.lambda_p corner.Scenario.lambda_n
-    (if indexed then "_idx" else "")
-    t.fingerprint
+let key t ~mode corner =
+  Printf.sprintf "%s_y%g_%.17g_%.17g_%s" (mode_tag mode) t.years
+    corner.Scenario.lambda_p corner.Scenario.lambda_n t.fingerprint
 
 (* A cache file that cannot be read or parsed is a miss, not a crash: log
    and rebuild.  Cache corruption (truncated write, concurrent writer, a
@@ -171,13 +164,11 @@ let save_cache_file dir name lib =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
-(* The memo is read and written from whichever domain asks for a corner
-   ([complete] builds corners concurrently), so lookups and inserts take
-   the manager lock; the expensive build itself runs outside it so
-   distinct corners really do characterize in parallel.  Two domains
-   racing on the {e same} key would both build and one insert would win —
-   harmless (identical results), and [complete] never issues duplicate
-   corners. *)
+(* The memo is read and written from whichever domain asks for a corner,
+   so lookups and inserts take the manager lock; the expensive build
+   itself runs outside it, so callers on other domains are not held up
+   behind it.  Two domains racing on the {e same} key would both build and
+   one insert would win — harmless, since the results are identical. *)
 let cached t name build =
   match Mutex.protect t.lock (fun () -> Lru.find t.memo name) with
   | Some lib ->
@@ -214,10 +205,10 @@ let cached t name build =
             (Lru.cap t.memo) evicted);
     lib
 
-let build_with_report t ?indexed ?surrogate ~name ~scenario () =
+let build_with_report t ?surrogate ~name ~scenario () =
   let lib, report =
-    Characterize.library_report ~backend:t.backend ~cells:t.cells ?indexed
-      ?surrogate ~jobs:t.jobs ~axes:t.axes ~name ~scenario ()
+    Characterize.library_report ~backend:t.backend ~cells:t.cells ?surrogate
+      ~jobs:t.jobs ~axes:t.axes ~name ~scenario ()
   in
   Mutex.protect t.lock (fun () -> t.reports := (name, report) :: !(t.reports));
   lib
@@ -251,7 +242,7 @@ let anchored t cfg =
           List.map
             (fun c ->
               let scenario = Scenario.scenario ~years:t.years c in
-              let name = key t ~mode:Degradation.Full ~indexed:false c in
+              let name = key t ~mode:Degradation.Full c in
               (scenario, cached t name (build_with_report t ~name ~scenario)))
             anchor_corners
         in
@@ -265,47 +256,45 @@ let anchored t cfg =
    appends the anchored surrogate's digest so it never aliases a full
    build, a build under another tolerance, or one against other
    anchors. *)
-let build_corner t ?indexed ~name ~scenario () =
+let build_corner t ~name ~scenario () =
   match t.surrogate with
-  | None -> cached t name (build_with_report t ?indexed ~name ~scenario)
+  | None -> cached t name (build_with_report t ~name ~scenario)
   | Some cfg ->
     let surrogate = anchored t cfg in
     let name = name ^ "_s" ^ String.sub (Surrogate.digest surrogate) 0 12 in
-    cached t name (build_with_report t ?indexed ~surrogate ~name ~scenario)
+    cached t name (build_with_report t ~surrogate ~name ~scenario)
 
 let corner ?(mode = Degradation.Full) t c =
-  build_corner t
-    ~name:(key t ~mode ~indexed:false c)
+  build_corner t ~name:(key t ~mode c)
     ~scenario:(Scenario.scenario ~years:t.years ~mode c)
-    ()
-
-let indexed_corner t c =
-  build_corner t ~indexed:true
-    ~name:(key t ~mode:Degradation.Full ~indexed:true c)
-    ~scenario:(Scenario.scenario ~years:t.years c)
     ()
 
 let fresh t = corner t Scenario.fresh
 let worst_case ?mode t = corner ?mode t Scenario.worst_case
 
+(* Each corner is the memoized, disk-cached bare library of [corner]
+   (whose build already spreads its grids over the pool); the complete
+   library is those entries renamed to their indexed names, in corner then
+   catalog order. *)
 let complete t corners =
-  (* Corners are independent characterizations; fan them out over the
-     pool (each build then runs its own cell grids sequentially — the
-     pool's nesting guard keeps the total domain count at [t.jobs]).
-     [Pool.map] preserves corner order, so the merged library is identical
-     to a sequential build. *)
-  match Pool.map ~jobs:t.jobs (indexed_corner t) corners with
-  | [] -> invalid_arg "Degradation_library.complete: no corners"
-  | first :: rest ->
-    let merged = List.fold_left Library.merge_entries first rest in
-    Library.create ~lib_name:"complete" ~axes:(Library.axes merged)
-      (Library.entries merged)
+  if corners = [] then invalid_arg "Degradation_library.complete: no corners";
+  let indexed c =
+    List.map
+      (fun (e : Library.entry) ->
+        let base = e.Library.cell.Cell.name in
+        { e with Library.indexed_name = Scenario.indexed_name base c })
+      (Library.entries (corner t c))
+  in
+  Library.create ~lib_name:"complete" ~axes:t.axes
+    (List.concat_map indexed corners)
 
-let single_opc ?slew ?load t c =
+let single_opc t c =
   let fresh_lib = fresh t in
   let aged_lib = corner t c in
-  let slew = Option.value slew ~default:t.axes.Axes.slews.(Array.length t.axes.Axes.slews - 1) in
-  let load = Option.value load ~default:t.axes.Axes.loads.(0) in
+  (* The pessimistic operating condition prior work scales by: the
+     largest characterized slew and the smallest load. *)
+  let slew = t.axes.Axes.slews.(Array.length t.axes.Axes.slews - 1) in
+  let load = t.axes.Axes.loads.(0) in
   let scale_entry (fresh_e : Library.entry) =
     let aged_e = Library.find_exn aged_lib fresh_e.Library.indexed_name in
     let scale_arc (fa : Library.arc) =

@@ -15,20 +15,19 @@ val create :
   ?years:float ->
   ?cache_dir:string ->
   ?jobs:int ->
-  ?memo_cap:int ->
   ?surrogate:Aging_liberty.Surrogate.config ->
   unit ->
   t
 (** Defaults: transient backend, full catalog, the paper's 7x7 axes,
     10-year lifetime, no disk cache, sequential builds ([jobs = 1]).
-    [jobs > 1] characterizes on that many domains — within one library
-    build, and across corners in {!complete} — with results identical to a
-    sequential build.  [cache_dir] may be nested ("a/b/c"); missing parent
-    directories are created on the first write.
+    [jobs > 1] spreads each library build's grids over that many domains,
+    with results identical to a sequential build.  [cache_dir] may be
+    nested ("a/b/c"); missing parent directories are created on the first
+    write.
 
-    [memo_cap] (default 256) bounds the in-memory library memo with an
-    LRU keyed by the exact-lambda cache keys — a sweep over many corners
-    must not grow without limit.  Eviction is safe:
+    The in-memory library memo is an LRU of {!memo_cap} libraries keyed
+    by the exact-lambda cache keys — a sweep over many corners must not
+    grow without limit.  Eviction is safe:
     an evicted corner is re-served from the disk cache when [cache_dir]
     is set, or re-characterized.  Hits, misses and evictions land in
     the metrics registry as [cache.memo_hit] / [cache.memo_miss] /
@@ -43,16 +42,16 @@ val create :
     the deglib configuration only (never of query order), and
     surrogate-built libraries are cached under keys extended with the
     anchored surrogate's {!Aging_liberty.Surrogate.digest}, so they never
-    alias full builds.
-    @raise Invalid_argument if [memo_cap < 1]. *)
+    alias full builds. *)
 
 val axes : t -> Aging_liberty.Axes.t
 val years : t -> float
 
+val memo_cap : int
+(** Capacity of every manager's library memo: 256. *)
+
 val memo_length : t -> int
 (** Number of libraries currently memoized (always [<= memo_cap]). *)
-
-val memo_cap : t -> int
 
 val fingerprint : t -> string
 (** The configuration fingerprint embedded in every cache key: a digest of
@@ -86,15 +85,18 @@ val worst_case : ?mode:Aging_physics.Degradation.mode -> t -> Aging_liberty.Libr
 
 val complete :
   t -> Aging_physics.Scenario.corner list -> Aging_liberty.Library.t
-(** Merged complete library with corner-indexed cell names restricted to
-    the given corners (use [Scenario.grid ()] for the full 121-corner
-    artifact).  Entries are characterized lazily per corner and shared with
-    {!corner}. *)
+(** Merged complete library with corner-indexed cell names
+    ({!Aging_physics.Scenario.indexed_name}) restricted to the given
+    corners, in corner then catalog order (use [Scenario.grid ()] for the
+    full 121-corner artifact).  Each corner's entries are the
+    {!corner} library of that corner, renamed: corners are built one after
+    another, each through the memo and the disk cache, so a corner that
+    is memoized or on disk is not characterized again.
+    @raise Invalid_argument on an empty or duplicated corner list. *)
 
 val single_opc :
-  ?slew:float -> ?load:float -> t -> Aging_physics.Scenario.corner ->
-  Aging_liberty.Library.t
+  t -> Aging_physics.Scenario.corner -> Aging_liberty.Library.t
 (** The single-operating-condition strawman of Fig. 5(b): every fresh arc
-    table is scaled by the aged/fresh delay ratio measured at one OPC
-    (default: the largest characterized slew and the smallest load, the
-    pessimistic point used by prior work). *)
+    table is scaled by the aged/fresh delay ratio measured at one OPC, the
+    largest characterized slew and the smallest load (the pessimistic
+    point used by prior work). *)

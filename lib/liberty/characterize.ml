@@ -668,7 +668,7 @@ let grid_cost (cell : Cell.t) =
   List.length (Circuit.mosfets cell.Cell.built.circuit)
 
 (* One cell's library entry from its grids' tables, in [grid_jobs] order. *)
-let make_entry ~indexed ~scenario (cell : Cell.t) work tables =
+let make_entry ~scenario (cell : Cell.t) work tables =
   let arcs =
     match cell.Cell.kind with
     | Cell.Combinational ->
@@ -722,14 +722,9 @@ let make_entry ~indexed ~scenario (cell : Cell.t) work tables =
       in
       0.6 *. worst_clkq
   in
-  let indexed_name =
-    if indexed then
-      cell.Cell.name ^ "@" ^ Scenario.suffix scenario.Scenario.corner
-    else cell.Cell.name
-  in
   {
     Library.cell;
-    indexed_name;
+    indexed_name = cell.Cell.name;
     corner = scenario.Scenario.corner;
     arcs;
     pin_caps =
@@ -737,8 +732,8 @@ let make_entry ~indexed ~scenario (cell : Cell.t) work tables =
     setup_time;
   }
 
-let library ?(backend = default_backend) ?cells ?(indexed = false) ?report
-    ?(jobs = 1) ?surrogate ~axes ~name ~scenario () =
+let library ?(backend = default_backend) ?cells ?report ?(jobs = 1) ?surrogate
+    ~axes ~name ~scenario () =
   let cells = Option.value cells ~default:(Aging_cells.Catalog.all ()) in
   let corner_tag = Scenario.suffix scenario.Scenario.corner in
   Span.with_ "characterize.library" ~attrs:[ ("library", name) ] @@ fun () ->
@@ -807,7 +802,7 @@ let library ?(backend = default_backend) ?cells ?(indexed = false) ?report
           (fun r ->
             Array.iter (fun (stats, _) -> r.stats <- stats :: r.stats) grids)
           report;
-        let e = make_entry ~indexed ~scenario cell work (Array.map snd grids) in
+        let e = make_entry ~scenario cell work (Array.map snd grids) in
         (* A cell's grids need not run back to back, so its time is the sum
            of its grids' wall times, not an interval. *)
         let seconds =
@@ -821,12 +816,10 @@ let library ?(backend = default_backend) ?cells ?(indexed = false) ?report
   in
   Library.create ~lib_name:name ~axes entries
 
-let library_report ?backend ?cells ?indexed ?jobs ?surrogate ~axes ~name
-    ~scenario () =
+let library_report ?backend ?cells ?jobs ?surrogate ~axes ~name ~scenario () =
   let report = report_create () in
   let lib =
-    library ?backend ?cells ?indexed ~report ?jobs ?surrogate ~axes ~name
-      ~scenario ()
+    library ?backend ?cells ~report ?jobs ?surrogate ~axes ~name ~scenario ()
   in
   (lib, report)
 

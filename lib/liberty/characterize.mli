@@ -149,7 +149,6 @@ val report_to_string : report -> string
 val library :
   ?backend:backend ->
   ?cells:Aging_cells.Cell.t list ->
-  ?indexed:bool ->
   ?report:report ->
   ?jobs:int ->
   ?surrogate:Surrogate.t ->
@@ -161,8 +160,7 @@ val library :
 (** Characterizes a whole library (default: the full catalog) under one
     scenario.  Always returns a complete library: full grids for every arc
     of every cell, with failed points repaired (see the module docs).
-    When [indexed] is true the entry names carry the corner suffix
-    ("NAND2_X1\@0.4_0.6"); default false (bare names).  Pass [report] to
+    Entries carry bare cell names.  Pass [report] to
     collect the per-point accounting.  [jobs] (default 1) spreads the
     library's grids over that many domains (see {e Parallelism} above);
     the returned library and any [report] are identical for every [jobs]
@@ -171,7 +169,6 @@ val library :
 val library_report :
   ?backend:backend ->
   ?cells:Aging_cells.Cell.t list ->
-  ?indexed:bool ->
   ?jobs:int ->
   ?surrogate:Surrogate.t ->
   axes:Axes.t ->

@@ -95,7 +95,3 @@ let worst_delay entry =
       Float.max acc
         (Float.max (Nldm.max_value a.delay_rise) (Nldm.max_value a.delay_fall)))
     neg_infinity entry.arcs
-
-let merge_entries a b =
-  if a.axes <> b.axes then invalid_arg "Library.merge_entries: axis mismatch";
-  create ~lib_name:a.lib_name ~axes:a.axes (a.entries @ b.entries)

@@ -2,9 +2,11 @@
 
     A library entry pairs a catalog cell with its NLDM timing arcs under one
     aging corner.  A plain (single-corner) library uses bare cell names
-    ("NAND2_X1"); the merged complete library (see {!Merge}) uses indexed
-    names ("NAND2_X1\@0.4_0.6") carrying the duty-cycle corner, mirroring the
-    paper's renaming scheme. *)
+    ("NAND2_X1"); the merged complete library
+    ([Aging_core.Degradation_library.complete]) uses indexed names
+    ("NAND2_X1\@0.4_0.6", see {!Aging_physics.Scenario.indexed_name})
+    carrying the duty-cycle corner, mirroring the paper's renaming
+    scheme. *)
 
 type timing_sense = Positive | Negative
 
@@ -75,7 +77,3 @@ val input_cap : entry -> string -> float
 val worst_delay : entry -> float
 (** Largest delay value across all arcs/directions/grid points (used by
     area/overview reports). *)
-
-val merge_entries : t -> t -> t
-(** Union of the entries of two libraries sharing axes; names must not
-    collide.  @raise Invalid_argument otherwise. *)

@@ -19,10 +19,7 @@ type t = {
   clock : net option;
 }
 
-let base_cell_name name =
-  match String.index_opt name '@' with
-  | None -> name
-  | Some i -> String.sub name 0 i
+let base_cell_name name = fst (Aging_physics.Scenario.split_indexed name)
 
 let catalog_cell inst =
   let base = base_cell_name inst.cell_name in

@@ -25,7 +25,8 @@ type t = {
 }
 
 val base_cell_name : string -> string
-(** Strips a corner index suffix: ["NAND2_X1\@0.4_0.6"] -> ["NAND2_X1"]. *)
+(** Strips a corner index suffix: ["NAND2_X1\@0.4_0.6"] -> ["NAND2_X1"]
+    (the base of {!Aging_physics.Scenario.split_indexed}). *)
 
 val catalog_cell : instance -> Aging_cells.Cell.t
 (** Resolves the instance's catalog cell (index suffix ignored).

@@ -45,6 +45,15 @@ let of_suffix s =
   end
   | _ -> None
 
+let indexed_name base c = base ^ "@" ^ suffix c
+
+let split_indexed name =
+  match String.index_opt name '@' with
+  | None -> (name, None)
+  | Some i ->
+    ( String.sub name 0 i,
+      of_suffix (String.sub name (i + 1) (String.length name - i - 1)) )
+
 let equal a b =
   Float.abs (a.lambda_p -. b.lambda_p) < 1e-9
   && Float.abs (a.lambda_n -. b.lambda_n) < 1e-9

@@ -41,6 +41,17 @@ val suffix : corner -> string
 val of_suffix : string -> corner option
 (** Inverse of {!suffix}; [None] on malformed input. *)
 
+val indexed_name : string -> corner -> string
+(** The complete library's corner-indexed cell name (Sec. 4.1):
+    [indexed_name "NAND2_X1" c] is ["NAND2_X1\@0.4_0.6"] for the corner
+    (0.4, 0.6).  This module is the only place that writes or parses the
+    ["\@"] separator. *)
+
+val split_indexed : string -> string * corner option
+(** Inverse of {!indexed_name}: ["NAND2_X1\@0.4_0.6"] ->
+    [("NAND2_X1", Some corner)].  A name without ["\@"] maps to
+    [(name, None)]; a malformed suffix keeps the base and yields [None]. *)
+
 val equal : corner -> corner -> bool
 (** Equality up to 1e-9 on both lambdas. *)
 

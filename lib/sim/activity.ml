@@ -42,27 +42,18 @@ let instance_corner profile (inst : Netlist.instance) =
 let annotate ?(step = 0.1) netlist profile =
   Netlist.rename_cells
     (fun inst ->
-      let base = Netlist.base_cell_name inst.Netlist.cell_name in
-      let corner = Scenario.snap ~step (instance_corner profile inst) in
-      base ^ "@" ^ Scenario.suffix corner)
+      Scenario.indexed_name
+        (Netlist.base_cell_name inst.Netlist.cell_name)
+        (Scenario.snap ~step (instance_corner profile inst)))
     netlist
 
 let corners_used netlist =
   let seen = Hashtbl.create 32 in
   Array.iter
     (fun (inst : Netlist.instance) ->
-      match String.index_opt inst.Netlist.cell_name '@' with
-      | None -> ()
-      | Some i ->
-        let suffix =
-          String.sub inst.Netlist.cell_name (i + 1)
-            (String.length inst.Netlist.cell_name - i - 1)
-        in
-        begin
-          match Scenario.of_suffix suffix with
-          | Some corner -> Hashtbl.replace seen (Scenario.suffix corner) corner
-          | None -> ()
-        end)
+      match Scenario.split_indexed inst.Netlist.cell_name with
+      | _, Some corner -> Hashtbl.replace seen (Scenario.suffix corner) corner
+      | _, None -> ())
     netlist.Netlist.instances;
   Hashtbl.fold (fun _ corner acc -> corner :: acc) seen []
   |> List.sort (fun a b ->

@@ -10,9 +10,9 @@
     skewed costs get the best balance by putting the longest items first.
 
     Nested calls never oversubscribe: a [map] issued from inside a pool
-    worker runs sequentially on that worker, so composed parallel layers
-    (corners over characterization grids) fan out only at the outermost
-    level that actually has more than one work item.
+    worker runs sequentially on that worker, so a parallel layer composed
+    over another fans out only at the outermost level that actually has
+    more than one work item.
 
     Exceptions propagate: if any application of [f] raises, every other
     item still runs to completion (no cancellation), and then the exception of

@@ -25,40 +25,44 @@ let metric name =
 
 let test_deglib_memo_bounded () =
   (* A long corner sweep must not grow the in-memory memo without limit:
-     with cap 2, a third corner evicts the least-recently-used library,
+     past [memo_cap] corners the least-recently-used library is evicted,
      the counters record it, and the evicted corner is transparently
-     re-characterized to an identical library on the next request. *)
+     re-characterized to an identical library on the next request.  The
+     analytic backend keeps cap + 1 builds cheap. *)
   let cells = [ Aging_cells.Catalog.find_exn "INV_X1" ] in
-  let t = Deg.create ~cells ~axes:Axes.coarse ~memo_cap:2 () in
-  Alcotest.(check int) "cap recorded" 2 (Deg.memo_cap t);
-  let c1 = Scenario.corner ~lambda_p:0.1 ~lambda_n:0.1 in
-  let c2 = Scenario.corner ~lambda_p:0.2 ~lambda_n:0.2 in
-  let c3 = Scenario.corner ~lambda_p:0.3 ~lambda_n:0.3 in
+  let t =
+    Deg.create ~backend:Aging_liberty.Characterize.Analytic ~cells
+      ~axes:Axes.coarse ()
+  in
+  let corners =
+    List.init (Deg.memo_cap + 1) (fun i ->
+        let x = float_of_int i /. float_of_int Deg.memo_cap in
+        Scenario.corner ~lambda_p:x ~lambda_n:(1. -. x))
+  in
+  let c1 = List.hd corners and c2 = List.nth corners 1 in
   let d lib =
     Library.delay_of
       (List.hd (Library.find_exn lib "INV_X1").Library.arcs)
       ~dir:Library.Rise ~slew:4e-11 ~load:2e-15
   in
   let lib1 = Deg.corner t c1 in
-  ignore (Deg.corner t c2);
-  Alcotest.(check bool) "memo within cap" true (Deg.memo_length t <= 2);
-  let hit0 = metric "cache.memo_hit" in
   let lib2 = Deg.corner t c2 in
+  let hit0 = metric "cache.memo_hit" in
   Alcotest.(check bool) "resident corner is a memo hit" true
     (Deg.corner t c2 == lib2 && metric "cache.memo_hit" > hit0);
+  (* The hit refreshed [c2], so [c1] is the least recently used. *)
   let evict0 = metric "cache.memo_evict" in
-  ignore (Deg.corner t c3);
-  Alcotest.(check bool) "third corner evicts" true
+  List.iter (fun c -> ignore (Deg.corner t c)) (List.tl (List.tl corners));
+  Alcotest.(check bool) "corner cap + 1 evicts" true
     (metric "cache.memo_evict" > evict0);
-  Alcotest.(check int) "memo stays at cap" 2 (Deg.memo_length t);
+  Alcotest.(check int) "memo stays at cap" Deg.memo_cap (Deg.memo_length t);
+  Alcotest.(check bool) "recently used corner stays resident" true
+    (Deg.corner t c2 == lib2);
   (* The evicted corner rebuilds to an identical library (fresh object). *)
   let lib1' = Deg.corner t c1 in
   Alcotest.(check bool) "evicted library was dropped" true (not (lib1 == lib1'));
   Alcotest.(check (float 0.)) "re-characterization is identical" (d lib1)
-    (d lib1');
-  Alcotest.check_raises "memo_cap validated"
-    (Invalid_argument "Degradation_library.create: memo_cap must be >= 1")
-    (fun () -> ignore (Deg.create ~cells ~axes:Axes.coarse ~memo_cap:0 ()))
+    (d lib1')
 
 let test_deglib_disk_cache () =
   let dir = Filename.temp_file "alib" "" in
@@ -186,11 +190,45 @@ let test_vth_only_corner_faster () =
 
 let test_complete_library_corners () =
   let t = deglib () in
-  let corners = [ Scenario.fresh; Scenario.worst_case ] in
+  let corners =
+    [ Scenario.fresh; Scenario.worst_case; Scenario.balanced ]
+  in
   let lib = Deg.complete t corners in
+  Alcotest.(check int) "cells x corners"
+    (List.length Fixtures.subset_names * List.length corners)
+    (List.length (Library.entries lib));
   Alcotest.(check bool) "indexed naming" true
     (Library.find lib "NAND2_X1@1.0_1.0" <> None
-    && Library.find lib "NAND2_X1@0.0_0.0" <> None)
+    && Library.find lib "NAND2_X1@0.0_0.0" <> None
+    && Library.find lib "INV_X1@0.5_0.5" <> None)
+
+let test_complete_shares_corner_builds () =
+  (* The complete library is the per-corner libraries renamed: a corner
+     built before is served from the memo, never characterized again
+     under a second cache name. *)
+  let cells =
+    List.map Aging_cells.Catalog.find_exn [ "INV_X1"; "NAND2_X1"; "DFF_X1" ]
+  in
+  let t = Deg.create ~cells ~axes:Axes.coarse () in
+  let worst = Deg.worst_case t in
+  let builds0 = List.length (Deg.build_reports t) in
+  let lib = Deg.complete t [ Scenario.fresh; Scenario.worst_case ] in
+  Alcotest.(check int) "only the fresh corner is built" (builds0 + 1)
+    (List.length (Deg.build_reports t));
+  List.iter
+    (fun (w : Library.entry) ->
+      let e =
+        Library.find_exn lib
+          (Scenario.indexed_name w.Library.indexed_name Scenario.worst_case)
+      in
+      let name = e.Library.indexed_name in
+      Alcotest.(check bool) (name ^ ": same arcs") true
+        (e.Library.arcs = w.Library.arcs);
+      Alcotest.(check bool) (name ^ ": same pin caps") true
+        (e.Library.pin_caps = w.Library.pin_caps);
+      Alcotest.(check (float 0.)) (name ^ ": same setup time")
+        w.Library.setup_time e.Library.setup_time)
+    (Library.entries worst)
 
 let test_single_opc_scaling () =
   let t = deglib () in
@@ -427,6 +465,8 @@ let suite =
      test_complete_parallel_matches_sequential);
     ("deglib: vth-only mode", `Quick, test_vth_only_corner_faster);
     ("deglib: complete library", `Quick, test_complete_library_corners);
+    ("deglib: complete shares corner builds", `Quick,
+     test_complete_shares_corner_builds);
     ("deglib: single-OPC scaling", `Quick, test_single_opc_scaling);
     ("guardband: static", `Quick, test_guardband_static);
     ("guardband: vth-only smaller (Fig 5a)", `Quick, test_guardband_vth_only_smaller);

@@ -3,7 +3,6 @@ module Nldm = Aging_liberty.Nldm
 module Axes = Aging_liberty.Axes
 module Library = Aging_liberty.Library
 module Characterize = Aging_liberty.Characterize
-module Merge = Aging_liberty.Merge
 module Io = Aging_liberty.Io
 module Catalog = Aging_cells.Catalog
 module Degradation_library = Aging_core.Degradation_library
@@ -95,25 +94,13 @@ let test_out_direction () =
   Alcotest.(check bool) "inverting" true
     (Library.out_direction arc ~in_dir:Library.Rise = Library.Fall)
 
-let test_merge_indexed_names () =
-  Alcotest.(check string) "indexed name" "NAND2_X1@0.4_0.6"
-    (Merge.indexed_name ~base:"NAND2_X1"
-       (Scenario.corner ~lambda_p:0.4 ~lambda_n:0.6));
-  let base, corner = Merge.split_indexed "NAND2_X1@0.4_0.6" in
-  Alcotest.(check string) "base" "NAND2_X1" base;
-  (match corner with
-  | Some c ->
-    Alcotest.(check bool) "corner" true
-      (Scenario.equal c (Scenario.corner ~lambda_p:0.4 ~lambda_n:0.6))
-  | None -> Alcotest.fail "no corner");
-  Alcotest.(check bool) "plain name" true (snd (Merge.split_indexed "INV_X1") = None)
-
 let test_merge_complete () =
   let cells = [ Catalog.find_exn "INV_X1"; Catalog.find_exn "NAND2_X1" ] in
   let corners =
     [ Scenario.fresh; Scenario.worst_case; Scenario.corner ~lambda_p:0.5 ~lambda_n:0.5 ]
   in
-  let lib = Merge.complete ~cells ~axes:Axes.coarse ~corners ~name:"mini" () in
+  let deglib = Degradation_library.create ~cells ~axes:Axes.coarse () in
+  let lib = Degradation_library.complete deglib corners in
   Alcotest.(check int) "cells x corners" 6 (List.length (Library.entries lib));
   Alcotest.(check bool) "indexed entry resolvable" true
     (Library.find lib "INV_X1@1.0_1.0" <> None)
@@ -457,7 +444,6 @@ let suite =
     ("characterize: NOR fall improves at large slew", `Quick, test_nor_fall_improves_at_large_slew);
     ("characterize: flip-flop entry", `Quick, test_flipflop_entry);
     ("library: out direction", `Quick, test_out_direction);
-    ("merge: indexed names", `Quick, test_merge_indexed_names);
     ("merge: mini complete library", `Quick, test_merge_complete);
     ("library: duplicate rejected", `Quick, test_library_duplicate_rejected);
     ("io: save/load roundtrip", `Quick, test_io_roundtrip);

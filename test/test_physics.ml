@@ -115,6 +115,20 @@ let test_suffix_malformed () =
   Alcotest.(check bool) "out of range" true (Scenario.of_suffix "1.5_0.2" = None);
   Alcotest.(check bool) "missing part" true (Scenario.of_suffix "0.4" = None)
 
+let test_indexed_names () =
+  Alcotest.(check string) "indexed name" "NAND2_X1@0.4_0.6"
+    (Scenario.indexed_name "NAND2_X1"
+       (Scenario.corner ~lambda_p:0.4 ~lambda_n:0.6));
+  let base, corner = Scenario.split_indexed "NAND2_X1@0.4_0.6" in
+  Alcotest.(check string) "base" "NAND2_X1" base;
+  (match corner with
+  | Some c ->
+    Alcotest.(check bool) "corner" true
+      (Scenario.equal c (Scenario.corner ~lambda_p:0.4 ~lambda_n:0.6))
+  | None -> Alcotest.fail "no corner");
+  Alcotest.(check bool) "plain name" true
+    (snd (Scenario.split_indexed "INV_X1") = None)
+
 let test_snap () =
   let c = Scenario.snap (Scenario.corner ~lambda_p:0.44 ~lambda_n:0.78) in
   check "snap p" 0.4 c.Scenario.lambda_p;
@@ -187,6 +201,7 @@ let suite =
     ("scenario: corner grid", `Quick, test_grid);
     ("scenario: suffix roundtrip", `Quick, test_suffix_roundtrip);
     ("scenario: malformed suffix", `Quick, test_suffix_malformed);
+    ("scenario: indexed names", `Quick, test_indexed_names);
     ("scenario: snapping", `Quick, test_snap);
     ("scenario: fresh is identity", `Quick, test_fresh_scenario_identity);
     ("scenario: corner validation", `Quick, test_corner_validation);
