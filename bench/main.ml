@@ -15,8 +15,6 @@
      bench/main.exe smoke           tiny-grid smoke scenario (seconds, no cache)
      bench/main.exe kernel          transient-engine throughput and solver
                                     effort over the paper grid
-     bench/main.exe surrogate       surrogate vs full-sweep characterization
-                                    (gates speedup and predicted-point error)
      bench/main.exe micro           Bechamel microbenchmarks only
      bench/main.exe --jobs N        worker domains for the figure runs
                                     (default: auto)
@@ -141,176 +139,6 @@ let kernel () =
      %!"
     totals.Aging_liberty.Characterize.points wall (per wall points)
     (per points steps) (per points jacs) (per steps newtons)
-
-(* ------------------------- surrogate scenario ------------------------- *)
-
-(* The surrogate-characterization payoff, measured end to end through the
-   production {!Degradation_library} path on the cells where it matters:
-   multi-stage FA/DFF/XOR, whose hundreds-of-ps tables sit far above the
-   simulator's noise floor (single-stage cells are honestly refused by the
-   serve gate at percent tolerances and would show a speedup of 1).  One
-   full-fidelity training pass builds the anchor corners; the scenario
-   then builds a held-out corner twice — surrogate vs full sweep — and
-   gates on both axes of the trade:
-
-     - speedup >= 3x marginal wall time, and
-     - every *predicted* point within the additive error convention
-       |sur - full| <= tol*|full| + 1% of the table's scale.
-
-   The 1%-of-scale floor is the convention the full sweep itself needs:
-   re-simulating a table under a different warm-start visit order moves
-   chain-sensitive points by up to that much, so holding predictions to a
-   bare relative tolerance would fail a bit-exact re-run too.  Both
-   numbers land as QoR so `obs diff` tracks them across commits. *)
-let surrogate_bench () =
-  let module Characterize = Aging_liberty.Characterize in
-  let module Axes = Aging_liberty.Axes in
-  let module Library = Aging_liberty.Library in
-  let module Nldm = Aging_liberty.Nldm in
-  let module Scenario = Aging_physics.Scenario in
-  let module Deglib = Aging_core.Degradation_library in
-  let cells =
-    List.map Aging_cells.Catalog.find_exn [ "FA_X1"; "DFF_X1"; "XOR2_X1" ]
-  in
-  (* Dense geometric grid: the regime where a build is expensive enough
-     for a surrogate to pay, and where most points are non-seed. *)
-  let geo n lo hi =
-    Array.init n (fun i -> lo *. ((hi /. lo) ** (float i /. float (n - 1))))
-  in
-  let axes =
-    {
-      Axes.slews = geo 12 Axes.slew_min Axes.slew_max;
-      loads = geo 12 Axes.load_min Axes.load_max;
-    }
-  in
-  let tol = 0.02 in
-  let deglib =
-    Deglib.create ~cells ~axes
-      ~surrogate:(Aging_liberty.Surrogate.config ~tol ~sample:24 ())
-      ()
-  in
-  let t0 = Span.elapsed () in
-  ignore (Deglib.corner deglib (Scenario.corner ~lambda_p:0.45 ~lambda_n:0.55));
-  let train_s = Span.elapsed () -. t0 in
-  let corner = Scenario.corner ~lambda_p:0.9 ~lambda_n:0.9 in
-  let t0 = Span.elapsed () in
-  let sur = Deglib.corner deglib corner in
-  let t_sur = Span.elapsed () -. t0 in
-  let t0 = Span.elapsed () in
-  let full =
-    Characterize.library ~cells ~axes ~name:"surrogate-truth"
-      ~scenario:(Scenario.scenario corner) ()
-  in
-  let t_full = Span.elapsed () -. t0 in
-  let report =
-    match Deglib.build_reports deglib with
-    | (_, r) :: _ -> r
-    | [] ->
-      prerr_endline "surrogate: corner build produced no report";
-      exit 1
-  in
-  let sim, pred, fb =
-    match Characterize.report_surrogate report with
-    | Some st ->
-      ( st.Characterize.fit_simulated,
-        st.Characterize.fit_predicted,
-        st.Characterize.fit_fallback )
-    | None ->
-      prerr_endline "surrogate: report carries no surrogate accounting";
-      exit 1
-  in
-  let prov_of cell from_pin to_pin dir =
-    List.find_map
-      (fun (st : Characterize.arc_stats) ->
-        if
-          st.Characterize.stat_cell = cell
-          && st.Characterize.stat_from = from_pin
-          && st.Characterize.stat_to = to_pin
-          && st.Characterize.stat_dir = dir
-        then st.Characterize.prov
-        else None)
-      report.Characterize.stats
-  in
-  (* Worst predicted-point error as a fraction of its additive budget
-     (tol*|full| + 1% of the table scale): <= 1 is within convention. *)
-  let worst = ref 0. and worst_rel = ref 0. in
-  List.iter
-    (fun (fe : Library.entry) ->
-      let se = Library.find_exn sur fe.Library.indexed_name in
-      List.iter2
-        (fun (fa : Library.arc) (sa : Library.arc) ->
-          List.iter
-            (fun (dir, (ft : Nldm.table), (st : Nldm.table)) ->
-              let pr =
-                prov_of fe.Library.indexed_name fa.Library.from_pin
-                  fa.Library.to_pin dir
-              in
-              let scale =
-                Array.fold_left
-                  (fun a r ->
-                    Array.fold_left (fun a v -> Float.max a (Float.abs v)) a r)
-                  0. ft.Nldm.values
-              in
-              Array.iteri
-                (fun i row ->
-                  Array.iteri
-                    (fun j fv ->
-                      match pr with
-                      | Some p when p.(i).(j) = Characterize.Predicted ->
-                        let e =
-                          Float.abs (st.Nldm.values.(i).(j) -. fv)
-                        in
-                        let budget =
-                          (tol *. Float.abs fv) +. (0.01 *. scale)
-                        in
-                        if e /. budget > !worst then worst := e /. budget;
-                        let rel =
-                          e /. Float.max (Float.abs fv) (0.01 *. scale)
-                        in
-                        if rel > !worst_rel then worst_rel := rel
-                      | _ -> ())
-                    row)
-                ft.Nldm.values)
-            [
-              (Library.Rise, fa.Library.delay_rise, sa.Library.delay_rise);
-              (Library.Fall, fa.Library.delay_fall, sa.Library.delay_fall);
-              (Library.Rise, fa.Library.slew_rise, sa.Library.slew_rise);
-              (Library.Fall, fa.Library.slew_fall, sa.Library.slew_fall);
-            ])
-        fe.Library.arcs se.Library.arcs)
-    (Library.entries full);
-  let speedup = t_full /. Float.max 1e-9 t_sur in
-  Run_ledger.note_qor "surrogate.speedup" speedup;
-  Run_ledger.note_qor "surrogate.train_s" train_s;
-  Run_ledger.note_qor "surrogate.predicted" (float_of_int pred);
-  Run_ledger.note_qor "surrogate.fallback" (float_of_int fb);
-  Run_ledger.note_qor "surrogate.worst_budget_frac" !worst;
-  Run_ledger.note_qor "surrogate.max_rel_err_pct" (100. *. !worst_rel);
-  Printf.printf
-    "surrogate: train %.1f s; corner %s sur %.2f s vs full %.2f s (%.2fx); \
-     sim/pred/fb %d/%d/%d; predicted max err %.2f%% (%.0f%% of budget)\n\
-     %!"
-    train_s
-    (Scenario.suffix corner)
-    t_sur t_full speedup sim pred fb
-    (100. *. !worst_rel)
-    (100. *. !worst);
-  if pred = 0 then begin
-    prerr_endline "surrogate: model served no points";
-    exit 1
-  end;
-  if !worst > 1. then begin
-    Printf.eprintf
-      "surrogate: predicted point exceeds the error convention (%.2fx the \
-       tol*|full| + 1%%-of-scale budget)\n\
-       %!"
-      !worst;
-    exit 1
-  end;
-  if speedup < 3. then begin
-    Printf.eprintf "surrogate: speedup %.2fx below the 3x gate\n%!" speedup;
-    exit 1
-  end
 
 (* ------------------------- BENCH.json ------------------------- *)
 
@@ -558,7 +386,6 @@ let () =
       match args with
       | [ "smoke" ] -> ("smoke", [ "smoke" ])
       | [ "kernel" ] -> ("kernel", [ "kernel" ])
-      | [ "surrogate" ] -> ("surrogate", [ "surrogate" ])
       | [] ->
         ((if !quick then "quick" else "full"), List.map fst Experiments.all)
       | names -> ((if !quick then "quick" else "full"), names)
@@ -566,7 +393,6 @@ let () =
     Printf.printf "reliability-aware design reproduction — %s mode\n\n%!" mode;
     if mode = "smoke" then scenario "smoke" smoke
     else if mode = "kernel" then scenario "kernel" kernel
-    else if mode = "surrogate" then scenario "surrogate" surrogate_bench
     else begin
       let t = Experiments.create ~quick:!quick ~jobs:!jobs () in
       List.iter

@@ -156,9 +156,9 @@ let deglib_term =
   Term.(const (fun corner years axes cache -> { corner; years; axes; cache })
         $ corner $ years $ axes $ cache_arg)
 
-let deglib_of ?backend ?cells ?surrogate c d =
-  Deg.create ?backend ?cells ~axes:d.axes ~years:d.years ~cache_dir:d.cache
-    ~jobs:c.jobs ?surrogate ()
+let deglib_of ?cells c d =
+  Deg.create ?cells ~axes:d.axes ~years:d.years ~cache_dir:d.cache
+    ~jobs:c.jobs ()
 
 let design_conv = Arg.enum (List.map (fun d -> (d, d)) Designs.names)
 
@@ -254,64 +254,12 @@ let characterize_cmd =
   let report_arg =
     Arg.(value & flag
          & info [ "report" ]
-             ~doc:"Print the characterization fault/repair report (points \
-                   measured / retried / repaired / failed per cell and arc).")
+             ~doc:"Print the characterization report (points measured / \
+                   retried per cell and arc).")
   in
-  let fault_rate_arg =
-    Arg.(value & opt float 0.
-         & info [ "fault-rate" ] ~docv:"P"
-             ~doc:"Deterministically inject transient failures into this \
-                   fraction of grid points (testing the retry/fallback \
-                   machinery; bypasses the cache via the fingerprint).")
-  in
-  let fault_seed_arg =
-    Arg.(value & opt int 0
-         & info [ "fault-seed" ] ~docv:"SEED"
-             ~doc:"Seed selecting which grid points the injected faults hit.")
-  in
-  let surrogate_arg =
-    Arg.(value & flag
-         & info [ "surrogate" ]
-             ~doc:"Characterize through the learned surrogate: simulate a \
-                   sparse deterministic subsample of each (slew, load) \
-                   grid, fit per-arc ridge models of the ratio to five \
-                   fully characterized anchor corners, and serve every \
-                   grid point whose predicted confidence interval stays \
-                   within the tolerance; lower-confidence points are \
-                   re-simulated.")
-  in
-  let surrogate_tol_arg =
-    Arg.(value & opt float 2.0
-         & info [ "surrogate-tol" ] ~docv:"PCT"
-             ~doc:"Relative confidence tolerance of the surrogate, in \
-                   percent (default 2).  A non-positive tolerance admits \
-                   no prediction and degenerates to the exact full sweep.")
-  in
-  let surrogate_sample_arg =
-    Arg.(value & opt int 12
-         & info [ "surrogate-sample" ] ~docv:"N"
-             ~doc:"Target seed simulations per (slew, load) grid (default \
-                   12).")
-  in
-  let run c d cells out report fault_rate fault_seed surrogate surrogate_tol
-      surrogate_sample =
+  let run c d cells out report =
     with_telemetry ~cmd:"characterize" c @@ fun () ->
-    let backend =
-      if fault_rate > 0. then
-        Characterize.Faulty
-          ({ Characterize.rate = fault_rate; seed = fault_seed; depth = 1 },
-           Characterize.default_backend)
-      else Characterize.default_backend
-    in
-    let cells = cells_of cells in
-    let surrogate =
-      if surrogate then
-        Some
-          (Aging_liberty.Surrogate.config ~tol:(surrogate_tol /. 100.)
-             ~sample:surrogate_sample ())
-      else None
-    in
-    let deglib = deglib_of ~backend ?cells ?surrogate c d in
+    let deglib = deglib_of ?cells:(cells_of cells) c d in
     let lib = Deg.corner deglib d.corner in
     Io.save out lib;
     Printf.printf "wrote %s: %d cells, corner %s, %g years\n" out
@@ -319,21 +267,7 @@ let characterize_cmd =
       (Scenario.suffix d.corner) d.years;
     if c.ledger_dir <> None then begin
       Run_ledger.note "jobs" (Obs.Json.Int c.jobs);
-      note_characterize_qor c d lib;
-      (* Surrogate accounting of the corner build (anchor builds carry no
-         provenance and contribute nothing here). *)
-      List.iter
-        (fun (_, r) ->
-          match Characterize.report_surrogate r with
-          | None -> ()
-          | Some st ->
-            Run_ledger.note_qor "surrogate.speedup"
-              st.Characterize.fit_speedup;
-            Run_ledger.note_qor "surrogate.predicted"
-              (float_of_int st.Characterize.fit_predicted);
-            Run_ledger.note_qor "surrogate.fallback"
-              (float_of_int st.Characterize.fit_fallback))
-        (Deg.build_reports deglib)
+      note_characterize_qor c d lib
     end;
     if report then begin
       match Deg.build_reports deglib with
@@ -350,8 +284,7 @@ let characterize_cmd =
   Cmd.v
     (Cmd.info "characterize" ~doc:"Build a degradation-aware cell library")
     Term.(const run $ common_term $ deglib_term $ cells_arg $ out_arg
-          $ report_arg $ fault_rate_arg $ fault_seed_arg $ surrogate_arg
-          $ surrogate_tol_arg $ surrogate_sample_arg)
+          $ report_arg)
 
 (* ------------------------------ report ------------------------------ *)
 
@@ -806,7 +739,7 @@ let obs_trace_cmd =
 
 (* Diff semantics: QoR rows gate at a relative tolerance (default 1%, per
    row overridable); the health counters gate one-sidedly on any increase
-   (retries/repairs/corruption appearing where there were none is the
+   (retries/failures/corruption appearing where there were none is the
    regression, their disappearance is not); wall time is informational
    unless given an explicit tolerance — a cache-served rerun is legitimately
    ~100x faster than a cold build and must not trip the gate. *)

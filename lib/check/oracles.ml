@@ -22,7 +22,6 @@ module Flow = Aging_synth.Flow
 module Guardband = Aging_core.Guardband
 module Degradation_library = Aging_core.Degradation_library
 module Designs = Aging_designs.Designs
-module Metrics = Aging_obs.Metrics
 
 type t = {
   name : string;
@@ -714,241 +713,7 @@ let jacobian_fd c =
   close "slew" s_ana s_fd
 
 (* ------------------------------------------------------------------ *)
-(* 10. surrogate-delay: surrogate-characterized tables vs. full spice. *)
-
-type sur_case = {
-  su_lp : float;
-  su_ln : float;
-}
-
-let pp_sur_case c =
-  Printf.sprintf "{lambda_p=%.3f lambda_n=%.3f}" c.su_lp c.su_ln
-
-let sur_case_gen =
-  let open Gen in
-  let+ su_lp = float_range 0.05 0.95
-  and+ su_ln = float_range 0.05 0.95 in
-  { su_lp; su_ln }
-
-(* One shared surrogate manager: the five anchor corners are characterized
-   once per process, and every case then builds a fresh random corner
-   against them. *)
-let sur_tol = 0.02
-let sur_cells = [ "NAND2_X1"; "DFF_X1"; "XOR2_X1" ]
-
-(* A 5x5 grid: dense enough that the seed lattice leaves rows for the
-   ratio fit and points to predict, sparse enough to keep a two-build
-   differential affordable per case.  The cell mix is deliberate: DFF
-   and XOR are multi-stage cells with hundreds-of-ps tables the fit
-   serves at 2 %, while NAND2's tens-of-ps tables sit at the simulator's
-   warm-start noise floor, where the honest response is to serve nothing
-   — keeping the all-fallback path under test in every run. *)
-let sur_axes =
-  let geo n lo hi =
-    Array.init n (fun i -> lo *. ((hi /. lo) ** (float i /. float (n - 1))))
-  in
-  {
-    Axes.slews = geo 5 Axes.slew_min Axes.slew_max;
-    loads = geo 5 Axes.load_min Axes.load_max;
-  }
-
-let sur_deglib =
-  lazy
-    (Degradation_library.create
-       ~cells:(List.map Catalog.find_exn sur_cells)
-       ~axes:sur_axes
-       ~surrogate:(Aging_liberty.Surrogate.config ~tol:sur_tol ())
-       ())
-
-(* The differential contract of a surrogate build against a full
-   transient characterization of the same corner:
-
-   - provenance partitions every grid point into seeded / predicted /
-     fallen-back, and the [fit.points.fallback] registry counter moved by
-     exactly the fallback count — every point the models could not serve
-     confidently really was re-simulated;
-   - simulated points (seeds and fallbacks) agree with the full build to
-     warm-start tolerance (1 % — different sweep orders chain different
-     warm starts, nothing more);
-   - predicted points sit within [3 * sur_tol] of full spice, every one
-     of them, and within [sur_tol] on average.  The serve gate (interval
-     plus replayed-anchor certificate) bounds model error statistically,
-     not pointwise, so the honest per-point guarantee is a small multiple
-     of the tolerance with the mean well inside it.
-
-*)
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-let surrogate_delay c =
-  let corner = Scenario.corner ~lambda_p:c.su_lp ~lambda_n:c.su_ln in
-  let deglib = Lazy.force sur_deglib in
-  let m_fallback = Metrics.counter "fit.points.fallback" in
-  let fb_before = Metrics.value m_fallback in
-  let n_before = List.length (Degradation_library.build_reports deglib) in
-  let sur_lib = Degradation_library.corner deglib corner in
-  let fb_delta = Metrics.value m_fallback - fb_before in
-  let reports = Degradation_library.build_reports deglib in
-  (* Cache hits produce no new report (and move no counters), so locate
-     the build for this exact corner by its %.17g cache-key lambdas and
-     only check the counter delta when the build really ran just now. *)
-  let fresh = List.length reports > n_before in
-  let tag =
-    Printf.sprintf "_%.17g_%.17g" corner.Scenario.lambda_p
-      corner.Scenario.lambda_n
-  in
-  let with_prov (name, r) =
-    contains ~sub:tag name
-    && List.exists
-         (fun (s : Characterize.arc_stats) -> s.Characterize.prov <> None)
-         r.Characterize.stats
-  in
-  match List.find_opt with_prov reports with
-  | None -> fail "no surrogate build report for corner %s" tag
-  | Some (_, rep) -> (
-    let full =
-      Characterize.library
-        ~cells:(List.map Catalog.find_exn sur_cells)
-        ~axes:sur_axes ~name:"surrogate-oracle-full"
-        ~scenario:(Scenario.scenario corner) ()
-    in
-    match Characterize.report_surrogate rep with
-    | None -> fail "expected surrogate accounting in the build report"
-    | Some st ->
-      let totals = Characterize.report_totals rep in
-      let** () =
-        if
-          st.Characterize.fit_simulated + st.Characterize.fit_predicted
-          + st.Characterize.fit_fallback
-          = totals.Characterize.points
-        then Ok ()
-        else
-          fail "provenance does not partition the grid: %d + %d + %d <> %d"
-            st.Characterize.fit_simulated st.Characterize.fit_predicted
-            st.Characterize.fit_fallback totals.Characterize.points
-      in
-      let** () =
-        if (not fresh) || fb_delta = st.Characterize.fit_fallback then Ok ()
-        else
-          fail
-            "fit.points.fallback moved by %d but the report recorded %d \
-             fallbacks"
-            fb_delta st.Characterize.fit_fallback
-      in
-      let** () =
-        if st.Characterize.fit_speedup > 0. then Ok ()
-        else fail "non-positive surrogate speedup estimate"
-      in
-      let err_sum = ref 0. and err_n = ref 0 in
-      let hard = 3. *. sur_tol in
-      let check_stats acc (s : Characterize.arc_stats) =
-        let** () = acc in
-        match s.Characterize.prov with
-        | None -> Ok ()
-        | Some grid ->
-          let arc_of lib =
-            match Library.find lib s.Characterize.stat_cell with
-            | None -> None
-            | Some e ->
-              List.find_opt
-                (fun (a : Library.arc) ->
-                  a.Library.from_pin = s.Characterize.stat_from
-                  && a.Library.to_pin = s.Characterize.stat_to)
-                e.Library.arcs
-          in
-          (match (arc_of sur_lib, arc_of full) with
-          | Some sa, Some fa ->
-            let tables (a : Library.arc) =
-              match s.Characterize.stat_dir with
-              | Library.Rise -> (a.Library.delay_rise, a.Library.slew_rise)
-              | Library.Fall -> (a.Library.delay_fall, a.Library.slew_fall)
-            in
-            let sd, ss = tables sa and fd, fs = tables fa in
-            let check_point what p i j (st : Nldm.table) (ft : Nldm.table) acc
-                =
-              let** () = acc in
-              let sv = st.Nldm.values.(i).(j)
-              and fv = ft.Nldm.values.(i).(j) in
-              (* Slow-ramp 50 %-crossing measurements sit within a few ps
-                 of zero (and can dip below), where a pure relative bound
-                 is meaningless — so every comparison carries an absolute
-                 term of 1 % of the table's value range alongside the
-                 relative one: what matters to an NLDM consumer is error
-                 against the arc's delay scale, not against a ~0 entry. *)
-              begin
-                let scale =
-                  Array.fold_left
-                    (fun acc row ->
-                      Array.fold_left
-                        (fun acc v -> Float.max acc (Float.abs v))
-                        acc row)
-                    0. ft.Nldm.values
-                in
-                let excess = Float.abs (sv -. fv) in
-                let within mult =
-                  excess <= (mult *. Float.abs fv) +. (0.01 *. scale)
-                in
-                let rel = excess /. Float.max (Float.abs fv) 1e-11 in
-                match p with
-                | Characterize.Predicted ->
-                  err_sum := !err_sum +. rel;
-                  incr err_n;
-                  if within hard then Ok ()
-                  else
-                    fail
-                      "%s %s->%s predicted %s off by %.2f%% at (%d,%d) \
-                       (cap %.0f%%)"
-                      s.Characterize.stat_cell s.Characterize.stat_from
-                      s.Characterize.stat_to what (100. *. rel) i j
-                      (100. *. hard)
-                | Characterize.Seeded | Characterize.Fell_back ->
-                  (* Simulated points run the same measurement with a
-                     different warm-start predecessor (the seed lattice
-                     visits the grid in a different order than the full
-                     sweep).  That is usually bit-identical but can move
-                     extreme slow-ramp points by a couple of percent, so
-                     the simulated-point contract is 3 % — half the
-                     prediction cap. *)
-                  if within 0.03 then Ok ()
-                  else
-                    fail
-                      "%s %s->%s simulated %s off by %.2f%% at (%d,%d) \
-                       (warm-start tolerance 3%%)"
-                      s.Characterize.stat_cell s.Characterize.stat_from
-                      s.Characterize.stat_to what (100. *. rel) i j
-              end
-            in
-            let acc = ref (Ok ()) in
-            Array.iteri
-              (fun i row ->
-                Array.iteri
-                  (fun j p ->
-                    acc := check_point "delay" p i j sd fd !acc;
-                    acc := check_point "slew" p i j ss fs !acc)
-                  row)
-              grid;
-            !acc
-          | _ ->
-            fail "arc %s %s->%s missing from a library"
-              s.Characterize.stat_cell s.Characterize.stat_from
-              s.Characterize.stat_to)
-      in
-      let** () =
-        List.fold_left check_stats (Ok ()) rep.Characterize.stats
-      in
-      if !err_n = 0 then Ok ()
-      else begin
-        let mean = !err_sum /. float_of_int !err_n in
-        if mean <= sur_tol then Ok ()
-        else
-          fail "mean predicted error %.2f%% exceeds tol %.0f%%"
-            (100. *. mean) (100. *. sur_tol)
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* 11. sta-incremental: the incremental timer vs a fresh full pass     *)
+(* 10. sta-incremental: the incremental timer vs a fresh full pass     *)
 (* after every swap, commit and rollback of a random sequence.          *)
 
 type inc_target = Any_instance | On_critical_path | Flipflop
@@ -1165,12 +930,6 @@ let all () =
        equation at random aged operating points; the engine's fd_jacobian \
        path reproduces the analytic-Jacobian delays"
       ~print:pp_jac_case ~gen:jac_case_gen jacobian_fd;
-    mk "surrogate-delay"
-      "surrogate-characterized corner tables vs. full spice: simulated \
-       points match to warm-start tolerance, predicted points stay within \
-       a small multiple of the tolerance (and within it on average), and \
-       every low-confidence point fell back to simulation"
-      ~print:pp_sur_case ~gen:sur_case_gen surrogate_delay;
     mk "sta-incremental"
       "the incremental timer after random cell swaps (on and off the \
        critical path, flip-flops included), commits and rollbacks matches \

@@ -10,7 +10,6 @@ module Metrics = Aging_obs.Metrics
 module Span = Aging_obs.Span
 module Log = Aging_obs.Log
 module Lru = Aging_util.Lru
-module Surrogate = Aging_liberty.Surrogate
 
 let m_memo_hit = Metrics.counter "cache.memo_hit"
 let m_memo_miss = Metrics.counter "cache.memo_miss"
@@ -40,23 +39,14 @@ type t = {
   lock : Mutex.t;
       (* guards [memo] and [reports], so one manager can serve corners
          to several domains at once *)
-  surrogate : Surrogate.config option;
-  mutable anchored : Surrogate.t option;
-      (* [surrogate] bound to the anchor libraries, once they are in *)
-  anchor_lock : Mutex.t;
-      (* serializes building the anchors; never held while [lock] waits
-         on it (the nested order is anchor_lock -> lock only) *)
 }
 
-let rec backend_tag = function
+let backend_tag = function
   | Characterize.Transient _ -> "transient"
   | Characterize.Analytic -> "analytic"
-  | Characterize.Faulty (f, inner) ->
-    Printf.sprintf "faulty%g:%d:%d+%s" f.Characterize.rate f.Characterize.seed
-      f.Characterize.depth (backend_tag inner)
 
 let create ?(backend = Characterize.default_backend) ?cells ?(axes = Axes.paper)
-    ?(years = 10.) ?cache_dir ?(jobs = 1) ?surrogate () =
+    ?(years = 10.) ?cache_dir ?(jobs = 1) () =
   let cells = Option.value cells ~default:(Aging_cells.Catalog.all ()) in
   (* The fingerprint must change whenever anything that affects the tables
      changes: cell set, axes, backend, lifetime, and the physics model
@@ -103,8 +93,7 @@ let create ?(backend = Characterize.default_backend) ?cells ?(axes = Axes.paper)
   in
   { backend; cells; axes; years; cache_dir; jobs = max 1 jobs;
     memo = Lru.create ~cap:memo_cap; fingerprint; reports = ref [];
-    lock = Mutex.create (); surrogate; anchored = None;
-    anchor_lock = Mutex.create () }
+    lock = Mutex.create () }
 
 let axes t = t.axes
 let years t = t.years
@@ -205,69 +194,20 @@ let cached t name build =
             (Lru.cap t.memo) evicted);
     lib
 
-let build_with_report t ?surrogate ~name ~scenario () =
+let build_with_report t ~name ~scenario () =
   let lib, report =
-    Characterize.library_report ~backend:t.backend ~cells:t.cells ?surrogate
-      ~jobs:t.jobs ~axes:t.axes ~name ~scenario ()
+    Characterize.library_report ~backend:t.backend ~cells:t.cells ~jobs:t.jobs
+      ~axes:t.axes ~name ~scenario ()
   in
   Mutex.protect t.lock (fun () -> t.reports := (name, report) :: !(t.reports));
   lib
 
 let build_reports t = Mutex.protect t.lock (fun () -> !(t.reports))
 
-(* Anchor corners of the surrogate: the four duty-cycle extremes plus the
-   balanced center.  Fixed — never derived from the corners actually
-   requested — so every surrogate-built library is a function of the
-   deglib configuration alone, not of query order. *)
-let anchor_corners =
-  [
-    Scenario.fresh;
-    Scenario.corner ~lambda_p:1. ~lambda_n:0.;
-    Scenario.corner ~lambda_p:0. ~lambda_n:1.;
-    Scenario.balanced;
-    Scenario.worst_case;
-  ]
-
-(* Builds (or loads) the anchor libraries and binds the surrogate config
-   to them, once.  Anchor builds are plain full-simulation corner builds
-   under the plain cache key, so they are shared with non-surrogate runs
-   of the same deglib configuration, and a loaded anchor is the same
-   table as a built one. *)
-let anchored t cfg =
-  Mutex.protect t.anchor_lock (fun () ->
-      match t.anchored with
-      | Some s -> s
-      | None ->
-        let anchors =
-          List.map
-            (fun c ->
-              let scenario = Scenario.scenario ~years:t.years c in
-              let name = key t ~mode:Degradation.Full c in
-              (scenario, cached t name (build_with_report t ~name ~scenario)))
-            anchor_corners
-        in
-        let s = Surrogate.create cfg ~anchors in
-        Log.infof "core.surrogate" "surrogate anchored on %d corners (digest %s)"
-          (List.length anchors) (Surrogate.digest s);
-        t.anchored <- Some s;
-        s)
-
-(* Builds [scenario]'s library under cache name [name]; a surrogate build
-   appends the anchored surrogate's digest so it never aliases a full
-   build, a build under another tolerance, or one against other
-   anchors. *)
-let build_corner t ~name ~scenario () =
-  match t.surrogate with
-  | None -> cached t name (build_with_report t ~name ~scenario)
-  | Some cfg ->
-    let surrogate = anchored t cfg in
-    let name = name ^ "_s" ^ String.sub (Surrogate.digest surrogate) 0 12 in
-    cached t name (build_with_report t ~surrogate ~name ~scenario)
-
 let corner ?(mode = Degradation.Full) t c =
-  build_corner t ~name:(key t ~mode c)
-    ~scenario:(Scenario.scenario ~years:t.years ~mode c)
-    ()
+  let name = key t ~mode c in
+  let scenario = Scenario.scenario ~years:t.years ~mode c in
+  cached t name (build_with_report t ~name ~scenario)
 
 let fresh t = corner t Scenario.fresh
 let worst_case ?mode t = corner ?mode t Scenario.worst_case

@@ -15,7 +15,6 @@ val create :
   ?years:float ->
   ?cache_dir:string ->
   ?jobs:int ->
-  ?surrogate:Aging_liberty.Surrogate.config ->
   unit ->
   t
 (** Defaults: transient backend, full catalog, the paper's 7x7 axes,
@@ -31,18 +30,7 @@ val create :
     an evicted corner is re-served from the disk cache when [cache_dir]
     is set, or re-characterized.  Hits, misses and evictions land in
     the metrics registry as [cache.memo_hit] / [cache.memo_miss] /
-    [cache.memo_evict].
-
-    [surrogate] switches every corner build into
-    {!Aging_liberty.Surrogate} mode.  The first surrogate build fully
-    characterizes five fixed anchor corners (the duty-cycle extremes and
-    the balanced center) under the plain cache keys; every requested
-    corner is then built from a handful of seed simulations per grid plus
-    ratio fits against the anchor tables.  The anchors are a function of
-    the deglib configuration only (never of query order), and
-    surrogate-built libraries are cached under keys extended with the
-    anchored surrogate's {!Aging_liberty.Surrogate.digest}, so they never
-    alias full builds. *)
+    [cache.memo_evict]. *)
 
 val axes : t -> Aging_liberty.Axes.t
 val years : t -> float
@@ -62,7 +50,7 @@ val fingerprint : t -> string
     cache-sensitivity tests. *)
 
 val build_reports : t -> (string * Aging_liberty.Characterize.report) list
-(** Fault/repair accounting of every library this manager actually
+(** Retry accounting of every library this manager actually
     characterized (cache hits produce no report), newest first, keyed by
     the cache name.  Cache files are written atomically (temp file +
     rename) and a corrupt/unparseable cache file is treated as a miss: the

@@ -17,10 +17,7 @@ module Log = Aging_obs.Log
    characterization report must always agree. *)
 let m_measured = Metrics.counter "characterize.points.measured"
 let m_retried = Metrics.counter "characterize.points.retried"
-let m_repaired = Metrics.counter "characterize.points.repaired"
 let m_failed = Metrics.counter "characterize.points.failed"
-let m_repair_interpolated = Metrics.counter "characterize.repairs.interpolated"
-let m_repair_analytic = Metrics.counter "characterize.repairs.analytic"
 let m_cells = Metrics.counter "characterize.cells"
 
 (* ------------------------------------------------------------------ *)
@@ -42,12 +39,34 @@ let point_error_to_string = function
     Printf.sprintf "solver accepted %d non-converged step%s at the dt floor" n
       (if n = 1 then "" else "s")
 
-type fault = { rate : float; seed : int; depth : int }
+let dir_label = function Library.Rise -> "rise" | Library.Fall -> "fall"
+
+type point_failure = {
+  cell : string;
+  from_pin : string;
+  to_pin : string;
+  dir : Library.direction;
+  slew : float;
+  load : float;
+  rung_errors : point_error list;
+}
+
+exception Point_failed of point_failure
+
+let point_failure_to_string f =
+  Printf.sprintf "Characterize: %s %s->%s %s at slew=%.1fps load=%.2ffF: %s"
+    f.cell f.from_pin f.to_pin (dir_label f.dir) (f.slew *. 1e12)
+    (f.load *. 1e15)
+    (String.concat "; " (List.map point_error_to_string f.rung_errors))
+
+let () =
+  Printexc.register_printer (function
+    | Point_failed f -> Some (point_failure_to_string f)
+    | _ -> None)
 
 type backend =
   | Transient of Engine.options
   | Analytic
-  | Faulty of fault * backend
 
 (* Characterization runs many short cell-level transients; a shorter DC
    settle is plenty for single cells and the post-transition tail is cut by
@@ -216,23 +235,8 @@ let analytic_measure ~base_circuit ~(cell : Cell.t) ~(arc : Cell.arc) ~dir
   (delay, out_slew)
 
 (* ------------------------------------------------------------------ *)
-(* Retry with escalation, fault injection                              *)
+(* Retry with escalation                                               *)
 (* ------------------------------------------------------------------ *)
-
-type point_key = {
-  key_cell : string;
-  key_from : string;
-  key_to : string;
-  key_dir : Library.direction;
-  key_slew : float;
-  key_load : float;
-}
-
-let key_to_string k =
-  Printf.sprintf "%s arc %s->%s dir=%s slew=%.1fps load=%.2ffF" k.key_cell
-    k.key_from k.key_to
-    (match k.key_dir with Library.Rise -> "rise" | Library.Fall -> "fall")
-    (k.key_slew *. 1e12) (k.key_load *. 1e15)
 
 (* Rungs beyond the first attempt: progressively smaller dt floor, more
    Newton iterations, longer DC settle, and a longer post-transition tail. *)
@@ -250,30 +254,9 @@ let escalated attempt (o : Engine.options) =
       },
       1. +. f )
 
-(* A fault decides deterministically from the point identity (not the call
-   order) whether an attempt is sabotaged, so runs are reproducible and
-   retries of the same point see the same injected failures up to [depth]. *)
-let injects fault key ~attempt =
-  attempt < fault.depth
-  && fault.rate > 0.
-  && Hashtbl.hash (fault.seed, key) land 0xFFFF
-     < int_of_float (Float.min 1. fault.rate *. 65536.)
-
-let injected_error fault key =
-  match Hashtbl.hash (key, fault.seed, "error-kind") land 3 with
-  | 0 -> No_settle (Device.vdd /. 2.)
-  | 1 -> No_crossing
-  | 2 -> No_slew
-  | _ -> Non_converged 1
-
-let rec attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit
-    ~cell ~arc ~dir ~slew ~load () =
+let attempt_point backend ~attempt ?warm ?state_out ~base_circuit ~cell ~arc
+    ~dir ~slew ~load () =
   match backend with
-  | Faulty (fault, inner) ->
-    if injects fault key ~attempt then Error (injected_error fault key)
-    else
-      attempt_point inner ~attempt ~key ?warm ?state_out ~base_circuit ~cell
-        ~arc ~dir ~slew ~load ()
   | Analytic -> Ok (analytic_measure ~base_circuit ~cell ~arc ~dir ~slew ~load)
   | Transient options ->
     let options, t_stop_scale = escalated attempt options in
@@ -283,25 +266,38 @@ let rec attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit
     transient_measure ~t_stop_scale ?warm ?state_out options ~base_circuit
       ~cell ~arc ~dir ~slew ~load
 
-let measure_point backend ~key ?warm ?state_out ~base_circuit ~cell ~arc ~dir
-    ~slew ~load () =
-  Retry.with_escalation
-    ~ladder:(List.init (max_escalations + 1) Fun.id)
-    (fun attempt ->
-      attempt_point backend ~attempt ~key ?warm ?state_out ~base_circuit ~cell
-        ~arc ~dir ~slew ~load ())
+(* Every rung of the ladder, then the one failure channel: a point that no
+   rung measures raises [Point_failed], so no table ever holds a value that
+   was not simulated.  Returns the measurement and the errors of the rungs
+   that failed before it ([[]] on a first-try success). *)
+let measure_point backend ?warm ?state_out ~base_circuit ~(cell : Cell.t)
+    ~(arc : Cell.arc) ~dir ~slew ~load () =
+  match
+    Retry.with_escalation
+      ~ladder:(List.init (max_escalations + 1) Fun.id)
+      (fun attempt ->
+        attempt_point backend ~attempt ?warm ?state_out ~base_circuit ~cell
+          ~arc ~dir ~slew ~load ())
+  with
+  | Retry.First_try v -> (v, [])
+  | Retry.Recovered (v, errors) -> (v, errors)
+  | Retry.Exhausted errors ->
+    Metrics.incr m_failed;
+    raise
+      (Point_failed
+         {
+           cell = cell.Cell.name;
+           from_pin = arc.Cell.arc_input;
+           to_pin = arc.Cell.arc_output;
+           dir;
+           slew;
+           load;
+           rung_errors = errors;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Characterization report                                             *)
 (* ------------------------------------------------------------------ *)
-
-type repair = Interpolated | Analytic_fallback
-
-let repair_to_string = function
-  | Interpolated -> "interpolated from neighbour grid points"
-  | Analytic_fallback -> "analytic closed-form fallback"
-
-type prov = Surrogate.prov = Seeded | Predicted | Fell_back
 
 type arc_stats = {
   stat_cell : string;
@@ -310,14 +306,7 @@ type arc_stats = {
   stat_dir : Library.direction;
   mutable measured : int;
   mutable retried : int;
-  mutable repaired : int;
-  mutable failed : int;
-  mutable predicted : int;
-  mutable repairs : repair list;
   mutable errors : point_error list;
-  mutable prov : prov array array option;
-      (* per-point provenance, surrogate builds only *)
-  mutable sim_seconds : float;  (* wall time inside point simulations *)
   mutable grid_seconds : float; (* wall time of the whole grid *)
 }
 
@@ -337,147 +326,61 @@ let make_arc_stats ~cell ~from_pin ~to_pin ~dir =
     stat_dir = dir;
     measured = 0;
     retried = 0;
-    repaired = 0;
-    failed = 0;
-    predicted = 0;
-    repairs = [];
     errors = [];
-    prov = None;
-    sim_seconds = 0.;
     grid_seconds = 0.;
   }
 
-type totals = {
-  points : int;
-  clean : int;
-  recovered : int;
-  degraded : int;
-  lost : int;
-  guessed : int;
-}
+type totals = { points : int; clean : int; recovered : int; degraded : int }
 
 let report_totals r =
   List.fold_left
     (fun t s ->
       {
-        points =
-          t.points + s.measured + s.retried + s.repaired + s.failed
-          + s.predicted;
+        t with
+        points = t.points + s.measured + s.retried;
         clean = t.clean + s.measured;
         recovered = t.recovered + s.retried;
-        degraded = t.degraded + s.repaired;
-        lost = t.lost + s.failed;
-        guessed = t.guessed + s.predicted;
       })
-    { points = 0; clean = 0; recovered = 0; degraded = 0; lost = 0; guessed = 0 }
+    { points = 0; clean = 0; recovered = 0; degraded = 0 }
     r.stats
 
-let report_clean r =
-  let t = report_totals r in
-  t.recovered = 0 && t.degraded = 0 && t.lost = 0
-
-type surrogate_totals = {
-  fit_simulated : int;
-  fit_predicted : int;
-  fit_fallback : int;
-  fit_speedup : float;
-}
-
-(* Surrogate accounting of one report: provenance counts plus an
-   estimated speedup — the measured mean cost of the points that were
-   simulated, extrapolated to the full grid, against the wall time the
-   grid actually took (fit and prediction overhead included).  The bench
-   scenario measures the true speedup with a separate full build; this
-   estimate is what a single surrogate run can report on its own. *)
-let report_surrogate r =
-  let any = List.exists (fun s -> s.prov <> None) r.stats in
-  if not any then None
-  else begin
-    let sim = ref 0 and pred = ref 0 and fb = ref 0 in
-    let sim_s = ref 0. and grid_s = ref 0. in
-    List.iter
-      (fun s ->
-        sim_s := !sim_s +. s.sim_seconds;
-        grid_s := !grid_s +. s.grid_seconds;
-        match s.prov with
-        | None -> ()
-        | Some grid ->
-          Array.iter
-            (Array.iter (function
-              | Seeded -> incr sim
-              | Predicted -> incr pred
-              | Fell_back -> incr fb))
-            grid)
-      r.stats;
-    let sims = !sim + !fb in
-    let per_sim = if sims > 0 then !sim_s /. float_of_int sims else 0. in
-    let total = sims + !pred in
-    let speedup =
-      if !grid_s > 0. && per_sim > 0. then
-        per_sim *. float_of_int total /. !grid_s
-      else 1.
-    in
-    Some
-      {
-        fit_simulated = !sim;
-        fit_predicted = !pred;
-        fit_fallback = !fb;
-        fit_speedup = speedup;
-      }
-  end
-
-let dir_label = function Library.Rise -> "rise" | Library.Fall -> "fall"
+let report_clean r = (report_totals r).recovered = 0
 
 let report_to_string r =
   let b = Buffer.create 1024 in
   let t = report_totals r in
   Buffer.add_string b
     (Printf.sprintf
-       "characterization report: %d points (%d measured, %d retried, %d \
-        repaired, %d failed%s)\n"
-       t.points t.clean t.recovered t.degraded t.lost
-       (if t.guessed > 0 then Printf.sprintf ", %d predicted" t.guessed
-        else ""));
+       "characterization report: %d points (%d measured, %d retried)\n"
+       t.points t.clean t.recovered);
   List.iter
     (fun s ->
-      if s.retried + s.repaired + s.failed > 0 then begin
+      if s.retried > 0 then begin
         Buffer.add_string b
-          (Printf.sprintf "  %s %s->%s %s: %d measured, %d retried, %d repaired, %d failed\n"
-             s.stat_cell s.stat_from s.stat_to (dir_label s.stat_dir) s.measured
-             s.retried s.repaired s.failed);
+          (Printf.sprintf "  %s %s->%s %s: %d measured, %d retried\n" s.stat_cell
+             s.stat_from s.stat_to (dir_label s.stat_dir) s.measured s.retried);
         List.iter
           (fun e ->
             Buffer.add_string b
               (Printf.sprintf "    - %s\n" (point_error_to_string e)))
-          (List.rev s.errors);
-        List.iter
-          (fun rp ->
-            Buffer.add_string b
-              (Printf.sprintf "    - repair: %s\n" (repair_to_string rp)))
-          (List.rev s.repairs)
+          (List.rev s.errors)
       end)
     (List.rev r.stats);
-  if t.recovered = 0 && t.degraded = 0 && t.lost = 0 then
+  if t.recovered = 0 then
     Buffer.add_string b "  all points measured on the first attempt\n";
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Grid measurement with graceful degradation                          *)
+(* Grid measurement                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Fill one (slews x loads) grid.  Pass 1 measures every point through the
-   escalation ladder; pass 2 repairs exhausted points from already-measured
-   orthogonal neighbours (mean of the adjacent grid values — failures are
-   sparse, so this is a local estimate), degrading to the analytic
-   closed-form model when an entire neighbourhood is missing.  The grid is
-   always complete on return. *)
-let measure_grid ?surrogate ~scenario backend ~(stats : arc_stats)
-    ~(axes : Axes.t) ~base_circuit ~cell ~arc ~dir =
+(* Fill one (slews x loads) grid, every point through the escalation
+   ladder.  A point that exhausts the ladder raises [Point_failed]. *)
+let measure_grid backend ~(stats : arc_stats) ~(axes : Axes.t) ~base_circuit
+    ~cell ~arc ~dir =
   let ns = Array.length axes.Axes.slews and nl = Array.length axes.Axes.loads in
   let delays = Array.make_matrix ns nl 0. in
   let slews_out = Array.make_matrix ns nl 0. in
-  let ok = Array.make_matrix ns nl false in
-  let holes = ref [] in
   let t_grid = Span.now () in
   (* Warm-start chain: each point seeds the next one's DC settle with the
      operating point of the last successful measurement.  The chain runs
@@ -485,124 +388,46 @@ let measure_grid ?surrogate ~scenario backend ~(stats : arc_stats)
      grid values are identical whatever the worker fan-out is. *)
   let warm = ref None in
   let state_out = ref None in
-  let sim_point i j =
-    let slew = axes.Axes.slews.(i) and load = axes.Axes.loads.(j) in
-    let key =
-      {
-        key_cell = (cell : Cell.t).Cell.name;
-        key_from = (arc : Cell.arc).Cell.arc_input;
-        key_to = arc.Cell.arc_output;
-        key_dir = dir;
-        key_slew = slew;
-        key_load = load;
-      }
-    in
-    let t_point = Span.now () in
-    let outcome =
-      Span.with_ "characterize.point"
-        ~attrs:
-          [
-            ("cell", key.key_cell);
-            ("slew", Printf.sprintf "%.3g" slew);
-            ("load", Printf.sprintf "%.3g" load);
-          ]
-        (fun () ->
-          state_out := None;
-          let outcome =
-            measure_point backend ~key ?warm:!warm ~state_out ~base_circuit
-              ~cell ~arc ~dir ~slew ~load ()
-          in
-          (match !state_out with
-          | Some _ as s -> warm := s
-          | None -> ());
-          outcome)
-    in
-    stats.sim_seconds <- stats.sim_seconds +. (Span.now () -. t_point);
-    match outcome with
-    | Retry.First_try (d, s) ->
+  for i = 0 to ns - 1 do
+    for j = 0 to nl - 1 do
+      let slew = axes.Axes.slews.(i) and load = axes.Axes.loads.(j) in
+      let outcome =
+        Span.with_ "characterize.point"
+          ~attrs:
+            [
+              ("cell", stats.stat_cell);
+              ("slew", Printf.sprintf "%.3g" slew);
+              ("load", Printf.sprintf "%.3g" load);
+            ]
+          (fun () ->
+            state_out := None;
+            let outcome =
+              measure_point backend ?warm:!warm ~state_out ~base_circuit ~cell
+                ~arc ~dir ~slew ~load ()
+            in
+            (match !state_out with
+            | Some _ as s -> warm := s
+            | None -> ());
+            outcome)
+      in
+      let (d, s), errs = outcome in
+      (match errs with
+      | [] ->
+        stats.measured <- stats.measured + 1;
+        Metrics.incr m_measured
+      | e :: _ ->
+        stats.retried <- stats.retried + 1;
+        Metrics.incr m_retried;
+        stats.errors <- e :: stats.errors);
       delays.(i).(j) <- d;
-      slews_out.(i).(j) <- s;
-      ok.(i).(j) <- true;
-      stats.measured <- stats.measured + 1;
-      Metrics.incr m_measured
-    | Retry.Recovered ((d, s), errs) ->
-      delays.(i).(j) <- d;
-      slews_out.(i).(j) <- s;
-      ok.(i).(j) <- true;
-      stats.retried <- stats.retried + 1;
-      Metrics.incr m_retried;
-      stats.errors <- List.hd errs :: stats.errors
-    | Retry.Exhausted errs ->
-      holes := (i, j) :: !holes;
-      stats.errors <- List.hd errs :: stats.errors
-  in
-  (match surrogate with
-  | None ->
-    for i = 0 to ns - 1 do
-      for j = 0 to nl - 1 do
-        sim_point i j
-      done
+      slews_out.(i).(j) <- s
     done
-  | Some sur ->
-    let prov =
-      Surrogate.grid sur ~scenario ~cell:stats.stat_cell
-        ~from_pin:stats.stat_from ~to_pin:stats.stat_to ~dir ~axes ~delays
-        ~slews:slews_out
-        ~simulate:(fun i j ->
-          sim_point i j;
-          ok.(i).(j))
-    in
-    stats.prov <- Some prov;
-    Array.iteri
-      (fun i row ->
-        Array.iteri
-          (fun j p ->
-            if p = Predicted then begin
-              ok.(i).(j) <- true;
-              stats.predicted <- stats.predicted + 1
-            end)
-          row)
-      prov);
+  done;
   stats.grid_seconds <- stats.grid_seconds +. (Span.now () -. t_grid);
-  List.iter
-    (fun (i, j) ->
-      let neighbours =
-        List.filter
-          (fun (i', j') -> i' >= 0 && i' < ns && j' >= 0 && j' < nl && ok.(i').(j'))
-          [ (i - 1, j); (i + 1, j); (i, j - 1); (i, j + 1) ]
-      in
-      let repair =
-        match neighbours with
-        | [] ->
-          let d, s =
-            analytic_measure ~base_circuit ~cell ~arc ~dir
-              ~slew:axes.Axes.slews.(i) ~load:axes.Axes.loads.(j)
-          in
-          delays.(i).(j) <- d;
-          slews_out.(i).(j) <- s;
-          Analytic_fallback
-        | _ ->
-          let n = float_of_int (List.length neighbours) in
-          let mean get =
-            List.fold_left (fun acc (i', j') -> acc +. get i' j') 0. neighbours /. n
-          in
-          delays.(i).(j) <- mean (fun i' j' -> delays.(i').(j'));
-          slews_out.(i).(j) <- mean (fun i' j' -> slews_out.(i').(j'));
-          Interpolated
-      in
-      stats.repairs <- repair :: stats.repairs;
-      stats.repaired <- stats.repaired + 1;
-      Metrics.incr m_repaired;
-      Metrics.incr
-        (match repair with
-        | Interpolated -> m_repair_interpolated
-        | Analytic_fallback -> m_repair_analytic))
-    (List.rev !holes);
-  if stats.retried + stats.repaired > 0 then
-    Log.debugf "characterize" "%s %s->%s %s: %d measured, %d retried, %d repaired"
-      stats.stat_cell stats.stat_from stats.stat_to
-      (match stats.stat_dir with Library.Rise -> "rise" | Library.Fall -> "fall")
-      stats.measured stats.retried stats.repaired;
+  if stats.retried > 0 then
+    Log.debugf "characterize" "%s %s->%s %s: %d measured, %d retried"
+      stats.stat_cell stats.stat_from stats.stat_to (dir_label stats.stat_dir)
+      stats.measured stats.retried;
   ( Nldm.make ~slews:axes.Axes.slews ~loads:axes.Axes.loads ~values:delays,
     Nldm.make ~slews:axes.Axes.slews ~loads:axes.Axes.loads ~values:slews_out )
 
@@ -610,30 +435,9 @@ let measure_grid ?surrogate ~scenario backend ~(stats : arc_stats)
 (* Entry / library assembly                                            *)
 (* ------------------------------------------------------------------ *)
 
-let arc_measure backend ~scenario ~(cell : Cell.t) ~(arc : Cell.arc) ~dir ~slew
-    ~load =
+let arc_measure backend ~scenario ~cell ~arc ~dir ~slew ~load =
   let base_circuit = aged_circuit ~scenario cell in
-  let key =
-    {
-      key_cell = cell.Cell.name;
-      key_from = arc.Cell.arc_input;
-      key_to = arc.Cell.arc_output;
-      key_dir = dir;
-      key_slew = slew;
-      key_load = load;
-    }
-  in
-  (* Legacy single-point entry point: the one place a point failure still
-     escapes as an exception, after the full escalation ladder. *)
-  match
-    measure_point backend ~key ~base_circuit ~cell ~arc ~dir ~slew ~load ()
-  with
-  | Retry.First_try v | Retry.Recovered (v, _) -> v
-  | Retry.Exhausted errs ->
-    Metrics.incr m_failed;
-    failwith
-      (Printf.sprintf "Characterize: %s: %s" (key_to_string key)
-         (String.concat "; " (List.map point_error_to_string errs)))
+  fst (measure_point backend ~base_circuit ~cell ~arc ~dir ~slew ~load ())
 
 let mid_value table =
   let n_s, n_l = Nldm.dimensions table in
@@ -732,8 +536,8 @@ let make_entry ~scenario (cell : Cell.t) work tables =
     setup_time;
   }
 
-let library ?(backend = default_backend) ?cells ?report ?(jobs = 1) ?surrogate
-    ~axes ~name ~scenario () =
+let library ?(backend = default_backend) ?cells ?report ?(jobs = 1) ~axes ~name
+    ~scenario () =
   let cells = Option.value cells ~default:(Aging_cells.Catalog.all ()) in
   let corner_tag = Scenario.suffix scenario.Scenario.corner in
   Span.with_ "characterize.library" ~attrs:[ ("library", name) ] @@ fun () ->
@@ -769,8 +573,7 @@ let library ?(backend = default_backend) ?cells ?report ?(jobs = 1) ?surrogate
             ("dir", dir_label dir);
           ]
         (fun () ->
-          measure_grid ?surrogate ~scenario backend ~stats ~axes ~base_circuit
-            ~cell ~arc ~dir)
+          measure_grid backend ~stats ~axes ~base_circuit ~cell ~arc ~dir)
     in
     (stats, tables)
   in
@@ -816,13 +619,11 @@ let library ?(backend = default_backend) ?cells ?report ?(jobs = 1) ?surrogate
   in
   Library.create ~lib_name:name ~axes entries
 
-let library_report ?backend ?cells ?jobs ?surrogate ~axes ~name ~scenario () =
+let library_report ?backend ?cells ?jobs ~axes ~name ~scenario () =
   let report = report_create () in
-  let lib =
-    library ?backend ?cells ~report ?jobs ?surrogate ~axes ~name ~scenario ()
-  in
+  let lib = library ?backend ?cells ~report ?jobs ~axes ~name ~scenario () in
   (lib, report)
 
-let fresh_library ?backend ?cells ?jobs ?surrogate ~axes () =
-  library ?backend ?cells ?jobs ?surrogate ~axes ~name:"initial"
+let fresh_library ?backend ?cells ?jobs ~axes () =
+  library ?backend ?cells ?jobs ~axes ~name:"initial"
     ~scenario:(Scenario.scenario Scenario.fresh) ()

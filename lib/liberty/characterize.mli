@@ -13,18 +13,15 @@
     switched-RC estimate from the output-stage drive resistance that cannot
     see internal slopes.  It exists for the ablation benchmark.
 
-    {2 Fault tolerance}
+    {2 Failures}
 
-    A library build runs thousands of per-point transients, and a single
-    non-settling grid point must never abort the build.  Every grid point is
-    measured through a typed-result pipeline ({!point_error}), retried up an
-    escalation ladder of progressively more conservative solver settings,
-    and — when every rung fails — repaired from already-measured neighbour
-    grid points or from the analytic model.  Every deviation from a clean
-    first-attempt measurement is recorded in a {!report} that callers can
-    print and tests can assert on.  The [Faulty] backend wrapper injects
-    deterministic point failures so that machinery can be exercised end to
-    end.
+    Every grid point is measured through a typed-result pipeline
+    ({!point_error}) and retried up an escalation ladder of progressively
+    more conservative solver settings.  A point rescued by a later rung is
+    counted as retried in the {!report}; a point that fails every rung
+    raises {!Point_failed}, naming the point and every rung's error.  No
+    value that was not simulated ever enters a table, so a library either
+    holds measured points only or is not built at all.
 
     {2 Parallelism}
 
@@ -53,40 +50,31 @@ type point_error =
 
 val point_error_to_string : point_error -> string
 
-type fault = {
-  rate : float;  (** fraction of grid points sabotaged, in [0, 1] *)
-  seed : int;    (** decorrelates which points fail *)
-  depth : int;
-      (** how many rungs of the escalation ladder fail for a sabotaged
-          point: [1] exercises retry-recovery, [max_int] forces the
-          degraded fallbacks *)
+type point_failure = {
+  cell : string;
+  from_pin : string;
+  to_pin : string;
+  dir : Library.direction;
+  slew : float;
+  load : float;
+  rung_errors : point_error list;
+      (** the error of every rung of the escalation ladder, in order *)
 }
+
+exception Point_failed of point_failure
+(** A grid point that failed every rung of the escalation ladder.  The
+    only way a point failure leaves this module, from {!library} and
+    {!arc_measure} alike; a printer for it is registered with
+    [Printexc]. *)
 
 type backend =
   | Transient of Aging_spice.Engine.options
   | Analytic
-  | Faulty of fault * backend
-      (** deterministic fault-injection wrapper around another backend *)
 
 val default_backend : backend
 (** [Transient] with default engine options. *)
 
-(** {2 Surrogate mode}
-
-    Passing [surrogate] (a {!Surrogate.t}, built from fully simulated
-    anchor libraries by {!Degradation_library}) hands every (slew x load)
-    grid to {!Surrogate.grid}: a sparse seed lattice is simulated, the
-    remaining points are served by a ratio model against the anchors where
-    it is trusted, and simulated otherwise — in full-sweep order, through
-    the same retry and repair machinery.  Each point's provenance lands in
-    its {!arc_stats}. *)
-
 (** {2 Characterization report} *)
-
-type repair = Interpolated | Analytic_fallback
-
-type prov = Surrogate.prov = Seeded | Predicted | Fell_back
-(** Provenance of one grid point in a surrogate build. *)
 
 type arc_stats = {
   stat_cell : string;
@@ -95,22 +83,14 @@ type arc_stats = {
   stat_dir : Library.direction;
   mutable measured : int;  (** points measured cleanly on the first attempt *)
   mutable retried : int;   (** points recovered by an escalated re-run *)
-  mutable repaired : int;  (** points filled by a degraded fallback *)
-  mutable failed : int;    (** points lost entirely (never with fallbacks) *)
-  mutable predicted : int; (** points served by the surrogate model *)
-  mutable repairs : repair list;      (** one entry per repaired point *)
   mutable errors : point_error list;
-      (** first error of every non-clean point, newest first *)
-  mutable prov : prov array array option;
-      (** per-point provenance (slew-major), surrogate builds only *)
-  mutable sim_seconds : float;
-      (** wall time spent inside point simulations of this grid *)
+      (** first error of every retried point, newest first *)
   mutable grid_seconds : float;  (** wall time of the whole grid *)
 }
 
 type report = { mutable stats : arc_stats list }
 (** Per-(cell, arc, direction) accounting of one characterization run;
-    [stats] is newest-first.  The five counters partition the grid
+    [stats] is newest-first.  [measured] and [retried] partition the grid
     points, so their sum is the total point count. *)
 
 val report_create : unit -> report
@@ -119,28 +99,15 @@ type totals = {
   points : int;     (** all grid points *)
   clean : int;      (** measured on the first attempt *)
   recovered : int;  (** needed at least one escalated retry *)
-  degraded : int;   (** repaired by interpolation or the analytic model *)
-  lost : int;       (** failed outright *)
-  guessed : int;    (** served by the surrogate model *)
+  degraded : int;
+      (** always [0]: no point is ever filled by anything but a
+          simulation.  Kept only because [perfbench/bench.ml] reads it. *)
 }
 
 val report_totals : report -> totals
 
 val report_clean : report -> bool
 (** [true] iff every point was measured on the first attempt. *)
-
-type surrogate_totals = {
-  fit_simulated : int;  (** seed simulations *)
-  fit_predicted : int;  (** points served by the model *)
-  fit_fallback : int;   (** low-confidence points re-simulated *)
-  fit_speedup : float;
-      (** estimated build speedup: measured mean simulation cost
-          extrapolated to the full grid, over the actual wall time *)
-}
-
-val report_surrogate : report -> surrogate_totals option
-(** Surrogate accounting of the report; [None] when no grid in it was
-    built in surrogate mode. *)
 
 val report_to_string : report -> string
 
@@ -151,36 +118,36 @@ val library :
   ?cells:Aging_cells.Cell.t list ->
   ?report:report ->
   ?jobs:int ->
-  ?surrogate:Surrogate.t ->
   axes:Axes.t ->
   name:string ->
   scenario:Aging_physics.Scenario.t ->
   unit ->
   Library.t
 (** Characterizes a whole library (default: the full catalog) under one
-    scenario.  Always returns a complete library: full grids for every arc
-    of every cell, with failed points repaired (see the module docs).
-    Entries carry bare cell names.  Pass [report] to
+    scenario: full grids for every arc of every cell, every point
+    simulated.  Entries carry bare cell names.  Pass [report] to
     collect the per-point accounting.  [jobs] (default 1) spreads the
     library's grids over that many domains (see {e Parallelism} above);
     the returned library and any [report] are identical for every [jobs]
-    value and follow the order of [cells]. *)
+    value and follow the order of [cells].
+    @raise Point_failed when a point exhausts the escalation ladder; with
+    several failing grids, the one first in work-list order, whatever
+    [jobs] is. *)
 
 val library_report :
   ?backend:backend ->
   ?cells:Aging_cells.Cell.t list ->
   ?jobs:int ->
-  ?surrogate:Surrogate.t ->
   axes:Axes.t ->
   name:string ->
   scenario:Aging_physics.Scenario.t ->
   unit ->
   Library.t * report
-(** [library] plus the fault/repair accounting of the build. *)
+(** [library] plus the retry accounting of the build. *)
 
 val fresh_library :
   ?backend:backend -> ?cells:Aging_cells.Cell.t list -> ?jobs:int ->
-  ?surrogate:Surrogate.t -> axes:Axes.t -> unit -> Library.t
+  axes:Axes.t -> unit -> Library.t
 (** Convenience: the degradation-unaware (initial) library — zero-duty
     corner, bare names. *)
 
@@ -194,7 +161,6 @@ val arc_measure :
   load:float ->
   float * float
 (** Measures a single (delay, output slew) point; exposed for the Fig. 1
-    surface experiment and for tests.  This is the legacy entry point: the
-    escalation ladder still applies, but a point whose every attempt fails
-    raises.
-    @raise Failure when the full escalation ladder is exhausted. *)
+    surface experiment and for tests, through the same escalation ladder
+    as a grid point.
+    @raise Point_failed when the escalation ladder is exhausted. *)

@@ -67,7 +67,6 @@ type row = { r_name : string; r_values : float array; r_one_sided : bool }
 let health_counters =
   [
     "characterize.points.retried";
-    "characterize.points.repaired";
     "characterize.points.failed";
     "cache.corrupt";
     "log.warnings";

@@ -11,7 +11,7 @@
     of sigma).  Median/MAD rather than mean/stddev so one earlier outlier
     run cannot inflate the scale and mask real drift.
 
-    Health counters (retries, repairs, corrupt cache hits, warnings) gate
+    Health counters (retries, failed points, corrupt cache hits, warnings) gate
     {e one-sided}: only an increase is drift — a run with
     fewer faults than usual is good news, not a regression. *)
 

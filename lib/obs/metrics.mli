@@ -60,7 +60,7 @@ val percentile_of_buckets : (float * int) list -> float -> float
 (** [percentile_of_buckets buckets q] approximates the [q]-quantile
     ([q] clamped to [0,1]) of the observations summarized by a
     {!bucket_counts}-shaped list.  Within the bucket holding the requested
-    rank the value is interpolated geometrically (linear in log space —
+    rank the value interpolates geometrically (linear in log space —
     exact for log-uniform values in a log-spaced bucket); the first bucket
     interpolates linearly from 0 and the overflow bucket returns its
     finite lower bound.  [nan] when the buckets are empty. *)

@@ -1,11 +1,11 @@
 (** Retry policy: escalation ladders.
 
-    [with_escalation] runs an attempt at each rung of a
-    ladder of progressively more conservative configurations until one
-    succeeds.  The characterization pipeline uses this to re-run failed
-    transient simulations with tighter solver settings before degrading to
-    a fallback model, but the policy itself is generic: a ladder is any
-    list of configurations, an attempt is any function returning a
+    [with_escalation] runs an attempt at each rung of a ladder of
+    progressively more conservative configurations until one succeeds.
+    The characterization pipeline uses this to re-run failed transient
+    simulations with tighter solver settings before it gives up on the
+    point with a typed error, but the policy itself is generic: a ladder is
+    any list of configurations, an attempt is any function returning a
     [result].  Rungs run back to back: a failed rung is a deterministic
     solver problem, not a transient one worth waiting out. *)
 

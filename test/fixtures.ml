@@ -140,6 +140,11 @@ let equivalent ?(cycles = 100) ?(seed = 11L) a b =
   done;
   !ok
 
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 let close ?(tol = 1e-9) a b = Float.abs (a -. b) <= tol
 
 let check_close ?tol msg expected actual =

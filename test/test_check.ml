@@ -163,7 +163,7 @@ let test_netgen_well_formed () =
 
 let test_oracle_catalog () =
   let all = Oracles.all () in
-  Alcotest.(check int) "eleven oracles" 11 (List.length all);
+  Alcotest.(check int) "ten oracles" 10 (List.length all);
   List.iter
     (fun (o : Oracles.t) ->
       match Oracles.find o.Oracles.name with

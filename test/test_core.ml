@@ -317,114 +317,6 @@ let test_aging_synthesis_invariants () =
   Alcotest.(check bool) "frequency gain consistent" true
     (Aging_synthesis.frequency_gain c >= -1e-9)
 
-let test_surrogate_cert_reuse () =
-  (* Replayed-anchor certificates depend only on the (model, axes,
-     reference, anchor) tuple — not on the target corner — so a second
-     corner build near the first must reuse every certificate of the
-     shared config instead of re-fitting the anchor replays.  XOR2 on a
-     small geometric grid keeps the five anchor builds cheap while still
-     being a cell the surrogate actually serves. *)
-  let geo n lo hi =
-    Array.init n (fun i -> lo *. ((hi /. lo) ** (float i /. float (n - 1))))
-  in
-  let axes =
-    {
-      Axes.slews = geo 5 Axes.slew_min Axes.slew_max;
-      loads = geo 5 Axes.load_min Axes.load_max;
-    }
-  in
-  let t =
-    Deg.create
-      ~cells:[ Aging_cells.Catalog.find_exn "XOR2_X1" ]
-      ~axes
-      ~surrogate:(Aging_liberty.Surrogate.config ~tol:0.02 ())
-      ()
-  in
-  ignore (Deg.corner t (Scenario.corner ~lambda_p:0.6 ~lambda_n:0.6));
-  let reused0 = metric "fit.certs.reused" in
-  ignore (Deg.corner t (Scenario.corner ~lambda_p:0.62 ~lambda_n:0.58));
-  Alcotest.(check bool) "second nearby corner reuses certificates" true
-    (metric "fit.certs.reused" > reused0);
-  (* Both surrogate builds carry per-point provenance that partitions
-     their grids. *)
-  let sur_reports =
-    List.filter
-      (fun (_, r) ->
-        List.exists
-          (fun (s : Aging_liberty.Characterize.arc_stats) ->
-            s.Aging_liberty.Characterize.prov <> None)
-          r.Aging_liberty.Characterize.stats)
-      (Deg.build_reports t)
-  in
-  Alcotest.(check int) "two surrogate corner builds" 2
-    (List.length sur_reports);
-  List.iter
-    (fun (_, r) ->
-      let totals = Aging_liberty.Characterize.report_totals r in
-      match Aging_liberty.Characterize.report_surrogate r with
-      | None -> Alcotest.fail "expected surrogate accounting"
-      | Some st ->
-        Alcotest.(check int) "provenance partitions the grid"
-          totals.Aging_liberty.Characterize.points
-          (st.Aging_liberty.Characterize.fit_simulated
-          + st.Aging_liberty.Characterize.fit_predicted
-          + st.Aging_liberty.Characterize.fit_fallback))
-    sur_reports
-
-(* A surrogate that cannot fit — a non-positive tolerance admits no
-   prediction, a grid under 8 points leaves nothing to predict — must run
-   the exact sweep of a plain build (same visit order, same warm-start
-   chain, bit-identical tables), with every point accounted as a
-   fallback. *)
-let test_surrogate_without_fit_is_full_sweep () =
-  let module C = Aging_liberty.Characterize in
-  let cells = List.map Aging_cells.Catalog.find_exn [ "INV_X1"; "NAND2_X1" ] in
-  let small =
-    {
-      Axes.slews = [| Axes.slew_min; Axes.slew_max |];
-      loads = [| Axes.load_min; 5e-15; Axes.load_max |];
-    }
-  in
-  let corner = Scenario.corner ~lambda_p:0.6 ~lambda_n:0.6 in
-  List.iter
-    (fun (tol, axes) ->
-      let case = Printf.sprintf "tol=%g, %d points" tol (Axes.count axes) in
-      let p = Deg.create ~cells ~axes () in
-      let plain = Deg.corner p corner in
-      let points =
-        List.fold_left
-          (fun acc (_, r) -> acc + (C.report_totals r).C.points)
-          0 (Deg.build_reports p)
-      in
-      let t =
-        Deg.create ~cells ~axes
-          ~surrogate:(Aging_liberty.Surrogate.config ~tol ())
-          ()
-      in
-      let lib = Deg.corner t corner in
-      List.iter2
-        (fun (a : Library.entry) (b : Library.entry) ->
-          Alcotest.(check bool)
-            (case ^ ": " ^ a.Library.indexed_name ^ " bit-identical arcs")
-            true
-            (a.Library.arcs = b.Library.arcs))
-        (Library.entries plain) (Library.entries lib);
-      match
-        List.filter_map
-          (fun (_, r) -> C.report_surrogate r)
-          (Deg.build_reports t)
-      with
-      | [ st ] ->
-        Alcotest.(check int) (case ^ ": no seed simulations") 0
-          st.C.fit_simulated;
-        Alcotest.(check int) (case ^ ": no predictions") 0 st.C.fit_predicted;
-        Alcotest.(check int) (case ^ ": every point fell back") points
-          st.C.fit_fallback
-      | l ->
-        Alcotest.failf "%s: expected one surrogate build, got %d" case
-          (List.length l))
-    [ (0., Axes.coarse); (0.05, small) ]
-
 let test_path_demo_switch () =
   let fresh = Scenario.scenario Scenario.fresh in
   let worst = Scenario.scenario Scenario.worst_case in
@@ -472,10 +364,6 @@ let suite =
     ("guardband: vth-only smaller (Fig 5a)", `Quick, test_guardband_vth_only_smaller);
     ("guardband: initial-CP smaller (Fig 5c)", `Quick, test_guardband_initial_cp_only_smaller);
     ("guardband: dynamic workload", `Quick, test_guardband_dynamic);
-    ("deglib: surrogate certificates reused across corners", `Quick,
-     test_surrogate_cert_reuse);
-    ("deglib: surrogate without a fit is the full sweep", `Quick,
-     test_surrogate_without_fit_is_full_sweep);
     ("synthesis: invariants", `Slow, test_aging_synthesis_invariants);
     ("path demo: criticality switch (Fig 3)", `Quick, test_path_demo_switch);
     ("system eval: DCT stream matches reference", `Slow, test_run_vectors_matches_reference);

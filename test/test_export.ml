@@ -5,10 +5,7 @@ module Timing = Aging_sta.Timing
 module Liberty_format = Aging_liberty.Liberty_format
 module Designs = Aging_designs.Designs
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
+let contains = Fixtures.contains
 
 let test_verilog_structure () =
   let nl = Designs.counter ~bits:3 in

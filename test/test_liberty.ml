@@ -147,18 +147,20 @@ let test_io_parse_errors () =
       (String.length msg > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Fault tolerance: typed errors, retry/escalation, graceful fallback  *)
+(* Retry and typed failure, on real physics                            *)
 (* ------------------------------------------------------------------ *)
 
-let fault_cells () =
-  List.map Catalog.find_exn
-    [ "INV_X1"; "NAND2_X1"; "NOR2_X1"; "XOR2_X1"; "DFF_X1" ]
+(* The aged inverter on two slews and two loads.  At 230 fF the first
+   attempt of two points does not finish its transition in time and an
+   escalated rung measures it; at 1 pF every rung runs out of time. *)
+let inv_worst_axes load =
+  { Axes.slews = [| 10e-12; 20e-12 |]; loads = [| 1e-15; load |] }
 
-let faulty_build ~depth =
-  let fault = { Characterize.rate = 0.10; seed = 42; depth } in
-  let backend = Characterize.Faulty (fault, Characterize.default_backend) in
-  Characterize.library_report ~backend ~cells:(fault_cells ()) ~axes:Axes.coarse
-    ~name:"faulty" ~scenario:(Scenario.scenario Scenario.worst_case) ()
+let inv_worst_build ?(jobs = 1) load =
+  Characterize.library_report ~jobs
+    ~cells:[ Catalog.find_exn "INV_X1" ]
+    ~axes:(inv_worst_axes load) ~name:"retry"
+    ~scenario:(Scenario.scenario Scenario.worst_case) ()
 
 let check_complete_library lib =
   List.iter
@@ -190,37 +192,61 @@ let test_clean_build_report () =
   Alcotest.(check int) "point count" 18 t.Characterize.points;
   Alcotest.(check int) "all clean" 18 t.Characterize.clean
 
-let test_fault_injection_recovers () =
-  (* depth = 1: every injected point fails its first attempt and must be
-     recovered by the escalated re-run — never by a fallback. *)
-  let lib, report = faulty_build ~depth:1 in
+let test_retry_rescues_points () =
+  let lib, report = inv_worst_build 230e-15 in
   check_complete_library lib;
   let t = Characterize.report_totals report in
-  Alcotest.(check bool) "faults were injected" true (t.Characterize.recovered > 0);
-  Alcotest.(check int) "no fallbacks needed" 0 t.Characterize.degraded;
-  Alcotest.(check int) "no points lost" 0 t.Characterize.lost;
-  Alcotest.(check int) "counters partition the grid" t.Characterize.points
-    (t.Characterize.clean + t.Characterize.recovered + t.Characterize.degraded
-    + t.Characterize.lost);
-  Alcotest.(check bool) "report prints the failing arcs" true
-    (String.length (Characterize.report_to_string report) > 0)
+  Alcotest.(check int) "points" 8 t.Characterize.points;
+  Alcotest.(check int) "rescued by a rung" 2 t.Characterize.recovered;
+  Alcotest.(check int) "measured first try" 6 t.Characterize.clean;
+  Alcotest.(check int) "nothing degraded" 0 t.Characterize.degraded;
+  Alcotest.(check bool) "not clean" false (Characterize.report_clean report);
+  let text = Characterize.report_to_string report in
+  Alcotest.(check bool) "report names the retried arc" true
+    (Fixtures.contains ~needle:"INV_X1 A->Y" text)
 
-let test_fault_injection_fallback () =
-  (* Unbounded depth: injected points fail the whole escalation ladder and
-     must be repaired by neighbour interpolation / the analytic model, so
-     the library is still complete. *)
-  let lib, report = faulty_build ~depth:max_int in
-  check_complete_library lib;
-  let t = Characterize.report_totals report in
-  Alcotest.(check int) "nothing recovered by retry" 0 t.Characterize.recovered;
-  Alcotest.(check bool) "repairs happened" true (t.Characterize.degraded > 0);
-  Alcotest.(check int) "no points lost" 0 t.Characterize.lost;
-  (* The injected point set is a function of (rate, seed) only, so the
-     depth=1 run must recover exactly the points this run repairs. *)
-  let _, shallow = faulty_build ~depth:1 in
-  Alcotest.(check int) "every injected fault accounted for"
-    (Characterize.report_totals shallow).Characterize.recovered
-    t.Characterize.degraded
+let point_failure f =
+  match f () with
+  | _ -> Alcotest.fail "expected Characterize.Point_failed"
+  | exception Characterize.Point_failed p -> p
+
+let test_exhausted_point_raises () =
+  (* Every rung fails at 1 pF: the build raises, naming the point, instead
+     of filling the table with a value no simulation produced. *)
+  let at jobs = point_failure (fun () -> inv_worst_build ~jobs 1e-12) in
+  let p = at 1 in
+  (* The first failing point in work-list order: the rise grid comes
+     first, and its (10 ps, 1 pF) point is the first 1 pF point. *)
+  Alcotest.(check string) "cell" "INV_X1" p.Characterize.cell;
+  Alcotest.(check (pair string string)) "arc" ("A", "Y")
+    (p.Characterize.from_pin, p.Characterize.to_pin);
+  Alcotest.(check bool) "direction" true (p.Characterize.dir = Library.Rise);
+  Alcotest.(check (float 0.)) "slew" 10e-12 p.Characterize.slew;
+  Alcotest.(check (float 0.)) "load" 1e-12 p.Characterize.load;
+  Alcotest.(check int) "one error per rung" 3
+    (List.length p.Characterize.rung_errors);
+  (* The registered printer names the point; the default one would not. *)
+  let text = Printexc.to_string (Characterize.Point_failed p) in
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) ("message names " ^ sub) true
+        (Fixtures.contains ~needle:sub text))
+    [ "INV_X1 A->Y rise"; "slew=10.0ps"; "load=1000.00fF" ];
+  Alcotest.(check bool) "same error at jobs=4" true (at 4 = p);
+  (* The single-point entry point fails through the same channel. *)
+  let cell = Catalog.find_exn "INV_X1" in
+  let q =
+    point_failure (fun () ->
+        Characterize.arc_measure Characterize.default_backend
+          ~scenario:(Scenario.scenario Scenario.worst_case) ~cell
+          ~arc:(List.hd (Cell.arcs cell)) ~dir:p.Characterize.dir
+          ~slew:p.Characterize.slew ~load:1e-12)
+  in
+  Alcotest.(check bool) "arc_measure names the same point" true
+    ((q.Characterize.cell, q.Characterize.from_pin, q.Characterize.to_pin,
+      q.Characterize.dir, q.Characterize.slew, q.Characterize.load)
+    = (p.Characterize.cell, p.Characterize.from_pin, p.Characterize.to_pin,
+       p.Characterize.dir, p.Characterize.slew, p.Characterize.load))
 
 let test_parallel_determinism () =
   (* The tentpole guarantee: [library ~jobs:n] is identical to
@@ -251,15 +277,13 @@ let test_parallel_determinism () =
           (a.Library.arcs = b.Library.arcs))
       ea eb
   in
-  (* Wall-time fields (sim_seconds / grid_seconds) are measurements, not
-     results — everything else in the accounting must be bit-identical. *)
+  (* The wall-time field (grid_seconds) is a measurement, not a result —
+     everything else in the accounting must be bit-identical. *)
   let project (s : Characterize.arc_stats) =
     ( (s.Characterize.stat_cell, s.Characterize.stat_from,
        s.Characterize.stat_to, s.Characterize.stat_dir),
-      (s.Characterize.measured, s.Characterize.retried,
-       s.Characterize.repaired, s.Characterize.failed,
-       s.Characterize.predicted),
-      (s.Characterize.repairs, s.Characterize.errors, s.Characterize.prov) )
+      (s.Characterize.measured, s.Characterize.retried),
+      s.Characterize.errors )
   in
   let stats (rep : Characterize.report) =
     List.map project rep.Characterize.stats
@@ -347,7 +371,7 @@ let test_warm_vs_cold_agreement () =
 
 let prop_lookup_within_table_bounds =
   let lib = Fixtures.fresh_library in
-  Fixtures.qtest "interpolated delay within table bounds"
+  Fixtures.qtest "bilinear lookup within bounds"
     QCheck2.Gen.(pair (float_range 5e-12 9.47e-10) (float_range 5e-16 2e-14))
     (fun (slew, load) ->
       let e = Library.find_exn (Lazy.force lib) "NAND2_X1" in
@@ -355,82 +379,6 @@ let prop_lookup_within_table_bounds =
       let d = Library.delay_of arc ~dir:Library.Fall ~slew ~load in
       d >= Nldm.min_value arc.Library.delay_fall -. 1e-12
       && d <= Nldm.max_value arc.Library.delay_fall +. 1e-12)
-
-(* Against its anchor libraries the model must actually serve points —
-   and the tables it serves must still look like NLDM tables (finite,
-   positive, delay monotone in load).  This goes through
-   {!Degradation_library} because the anchors (full corner builds) are
-   what make percent-level confidence reachable.  The cell is XOR2 — a
-   multi-stage cell whose hundreds-of-ps tables sit far above the
-   simulator's noise floor; single-stage cells like INV are refused by
-   the replayed-anchor certificate at percent tolerances because their
-   5-50 ps delays put chain noise at the same scale as the tolerance. *)
-let surrogate_axes =
-  let geo n lo hi =
-    Array.init n (fun i -> lo *. ((hi /. lo) ** (float i /. float (n - 1))))
-  in
-  {
-    Axes.slews = geo 5 Axes.slew_min Axes.slew_max;
-    loads = geo 5 Axes.load_min Axes.load_max;
-  }
-
-let test_surrogate_predicts_with_loose_tol () =
-  let cells = [ Catalog.find_exn "XOR2_X1" ] in
-  let deglib =
-    Degradation_library.create ~cells ~axes:surrogate_axes
-      ~surrogate:(Aging_liberty.Surrogate.config ~tol:0.05 ())
-      ()
-  in
-  let lib =
-    Degradation_library.corner deglib
-      (Scenario.corner ~lambda_p:0.6 ~lambda_n:0.6)
-  in
-  let rep =
-    match
-      List.filter
-        (fun (_, r) ->
-          List.exists
-            (fun (s : Characterize.arc_stats) ->
-              s.Characterize.prov <> None)
-            r.Characterize.stats)
-        (Degradation_library.build_reports deglib)
-    with
-    | [ (_, r) ] -> r
-    | l ->
-      Alcotest.failf "expected exactly one surrogate build report, got %d"
-        (List.length l)
-  in
-  let totals = Characterize.report_totals rep in
-  (match Characterize.report_surrogate rep with
-  | None -> Alcotest.fail "expected surrogate accounting"
-  | Some st ->
-    Alcotest.(check bool) "some points predicted" true
-      (st.Characterize.fit_predicted > 0);
-    Alcotest.(check int) "provenance partitions the grid"
-      totals.Characterize.points
-      (st.Characterize.fit_simulated + st.Characterize.fit_predicted
-      + st.Characterize.fit_fallback));
-  let e = Library.find_exn lib "XOR2_X1" in
-  let arc = List.hd e.Library.arcs in
-  Array.iter
-    (fun slew ->
-      let prev = ref 0. in
-      Array.iter
-        (fun load ->
-          List.iter
-            (fun dir ->
-              let d = Library.delay_of arc ~dir ~slew ~load in
-              let s = Library.out_slew_of arc ~dir ~slew ~load in
-              Alcotest.(check bool) "delay finite and positive" true
-                (Float.is_finite d && d > 0.);
-              Alcotest.(check bool) "slew finite and positive" true
-                (Float.is_finite s && s > 0.))
-            [ Library.Rise; Library.Fall ];
-          let d = Library.delay_of arc ~dir:Library.Rise ~slew ~load in
-          Alcotest.(check bool) "delay monotone in load" true (d >= !prev);
-          prev := d)
-        surrogate_axes.Axes.loads)
-    surrogate_axes.Axes.slews
 
 let suite =
   [
@@ -451,11 +399,9 @@ let suite =
     ("characterize: analytic backend", `Quick, test_analytic_backend_runs);
     ("characterize: warm start agrees with cold", `Quick, test_warm_vs_cold_agreement);
     ("characterize: clean build report", `Quick, test_clean_build_report);
-    ("characterize: injected faults recovered by retry", `Quick, test_fault_injection_recovers);
-    ("characterize: exhausted faults repaired by fallback", `Quick, test_fault_injection_fallback);
+    ("characterize: escalated rungs rescue points", `Quick, test_retry_rescues_points);
+    ("characterize: exhausted point raises Point_failed", `Quick, test_exhausted_point_raises);
     ("characterize: parallel build deterministic", `Slow, test_parallel_determinism);
-    ("characterize: surrogate serves points at loose tol", `Quick,
-     test_surrogate_predicts_with_loose_tol);
     ("library: descriptive lookup errors", `Quick, test_descriptive_lookup_errors);
   ]
 

@@ -13,8 +13,6 @@ let () =
       ("cells", Test_cells.suite);
       ("liberty", Test_liberty.suite);
       ("liberty:properties", Test_liberty.props);
-      ("fit", Test_fit.suite);
-      ("fit:properties", Test_fit.props);
       ("netlist", Test_netlist.suite);
       ("netlist:properties", Test_netlist.props);
       ("sta", Test_sta.suite);
