@@ -28,18 +28,18 @@ let max_arity =
     0 cell_pool
 
 let spec =
-  let open Gen in
+  let open QCheck2.Gen in
   let gate =
     map2
       (fun cell srcs -> { cell; srcs })
       (int_range 0 (Array.length cell_pool - 1))
-      (list_range max_arity max_arity (int_range 0 1023))
+      (list_repeat max_arity (int_range 0 1023))
   in
   let+ n_inputs = int_range 1 5
   and+ n_ffs = int_range 0 3
-  and+ gates = list_range 1 25 gate
-  and+ ff_srcs = list_range 3 3 (int_range 0 1023)
-  and+ out_srcs = list_range 1 4 (int_range 0 1023)
+  and+ gates = list_size (int_range 1 25) gate
+  and+ ff_srcs = list_repeat 3 (int_range 0 1023)
+  and+ out_srcs = list_size (int_range 1 4) (int_range 0 1023)
   and+ stim_seed = int_range 0 1_000_000 in
   { n_inputs; n_ffs; gates; ff_srcs; out_srcs; stim_seed }
 

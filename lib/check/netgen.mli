@@ -27,7 +27,7 @@ val cell_pool : Aging_cells.Cell.t array
 (** The combinational cells specs draw from (X1 drives across the
     catalog families). *)
 
-val spec : spec Gen.t
+val spec : spec QCheck2.Gen.t
 (** 1-5 inputs, 0-3 flip-flops, 1-25 gates. *)
 
 val build : spec -> Aging_netlist.Netlist.t

@@ -53,7 +53,7 @@ let pp_spice_case c =
     c.sc_load c.sc_lam c.sc_load_factor
 
 let spice_case_gen =
-  let open Gen in
+  let open QCheck2.Gen in
   let+ sc_slew = float_range 5e-12 9e-10
   and+ sc_load = float_range 5e-16 2e-14
   and+ sc_lam = float_range 0.05 1.0
@@ -185,9 +185,9 @@ let pp_nldm_case c =
     c.nc_table_seed c.nc_fs c.nc_fl
 
 let axis_gen ~start_lo ~start_hi ~step_lo ~step_hi =
-  let open Gen in
+  let open QCheck2.Gen in
   let+ start = float_range start_lo start_hi
-  and+ steps = list_range 1 4 (float_range step_lo step_hi) in
+  and+ steps = list_size (int_range 1 4) (float_range step_lo step_hi) in
   let _, points =
     List.fold_left
       (fun (x, acc) d -> (x +. d, (x +. d) :: acc))
@@ -196,7 +196,7 @@ let axis_gen ~start_lo ~start_hi ~step_lo ~step_hi =
   List.rev points
 
 let nldm_case_gen =
-  let open Gen in
+  let open QCheck2.Gen in
   let+ nc_slews = axis_gen ~start_lo:1e-12 ~start_hi:5e-11 ~step_lo:1e-12 ~step_hi:3e-10
   and+ nc_loads = axis_gen ~start_lo:1e-16 ~start_hi:1e-15 ~step_lo:1e-16 ~step_hi:8e-15
   and+ nc_table_seed = int_range 0 1_000_000
@@ -296,8 +296,8 @@ let pp_lib_case c =
     c.lc_indexed
 
 let lib_case_gen =
-  let open Gen in
-  let+ lc_cells = list_range 1 3 (int_range 0 (Array.length lib_cell_pool - 1))
+  let open QCheck2.Gen in
+  let+ lc_cells = list_size (int_range 1 3) (int_range 0 (Array.length lib_cell_pool - 1))
   and+ lc_lambda_p = int_range 0 1000
   and+ lc_lambda_n = int_range 0 1000
   and+ lc_slews = axis_gen ~start_lo:1e-12 ~start_hi:5e-11 ~step_lo:1e-12 ~step_hi:3e-10
@@ -405,8 +405,8 @@ let pp_par_case c =
     (if c.pc_transient then "transient" else "analytic")
 
 let par_case_gen =
-  let open Gen in
-  let+ pc_cells = list_range 1 4 (int_range 0 (Array.length par_cell_pool - 1))
+  let open QCheck2.Gen in
+  let+ pc_cells = list_size (int_range 1 4) (int_range 0 (Array.length par_cell_pool - 1))
   and+ pc_lambda_p = float_range 0.0 1.0
   and+ pc_lambda_n = float_range 0.0 1.0
   and+ pc_jobs = int_range 2 8
@@ -462,7 +462,7 @@ let pp_gb_case c =
     (fst c.gb_lp) (snd c.gb_lp) (fst c.gb_ln) (snd c.gb_ln)
 
 let gb_case_gen =
-  let open Gen in
+  let open QCheck2.Gen in
   let ordered = map2 (fun a b -> (Float.min a b, Float.max a b))
       (float_range 0.0 1.0) (float_range 0.0 1.0) in
   let+ gb_bits = int_range 3 5
@@ -607,7 +607,7 @@ let pp_jac_case c =
     c.jac_load
 
 let jac_case_gen =
-  let open Gen in
+  let open QCheck2.Gen in
   let+ p = float_range 0. 1.
   and+ jac_w = float_range Device.w_min (4. *. Device.w_min)
   and+ jac_dvth = float_range 0. 0.12
@@ -741,7 +741,7 @@ let pp_inc_case c =
     (String.concat " " (List.map op c.ic_ops))
 
 let inc_case_gen =
-  let open Gen in
+  let open QCheck2.Gen in
   let op =
     let+ io_target = oneofl [ Any_instance; On_critical_path; Flipflop ]
     and+ io_pick = int_range 0 1023
@@ -749,7 +749,7 @@ let inc_case_gen =
     and+ io_then = oneofl [ `Keep; `Commit; `Rollback ] in
     { io_target; io_pick; io_variant; io_then }
   in
-  let+ ic_spec = Netgen.spec and+ ic_ops = list_range 1 12 op in
+  let+ ic_spec = Netgen.spec and+ ic_ops = list_size (int_range 1 12) op in
   { ic_spec; ic_ops }
 
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)

@@ -5,8 +5,9 @@
     through {!Runner} with replayable per-case seeds.  The six core
     oracles mirror the paper's cross-layer consistency claim (spice vs.
     alpha-power, event simulation vs. STA, NLDM interpolation, Liberty
-    serialization, parallel determinism, guardband monotonicity), plus two
-    bonus oracles over the SDF writer/parser and the synthesis flow. *)
+    serialization, parallel determinism, guardband monotonicity), plus four
+    more over the SDF writer/parser, the synthesis flow, the device
+    Jacobian and the incremental timer.  Inputs are [QCheck2] generators. *)
 
 type t = {
   name : string;
@@ -15,6 +16,6 @@ type t = {
 }
 
 val all : unit -> t list
-(** Stable order; the six ISSUE oracles first. *)
+(** Stable order; the six core oracles first. *)
 
 val find : string -> t option

@@ -1,5 +1,6 @@
 module Rng = Aging_util.Rng
 module Stats = Aging_util.Stats
+module Tree = QCheck2.Tree
 
 type 'a property = 'a -> (unit, string) result
 
@@ -30,22 +31,30 @@ let eval prop x =
 (* Greedy depth-first shrink: repeatedly move to the first child that
    still fails, until no child fails or the budget runs out. *)
 let shrink prop tree first_msg max_shrinks =
-  let rec go (Gen.Tree (x, children)) msg steps =
-    if steps >= max_shrinks then (x, msg, steps)
-    else
-      let rec first_failing s =
-        match s () with
-        | Seq.Nil -> None
-        | Seq.Cons ((Gen.Tree (y, _) as t), rest) -> (
-          match eval prop y with
-          | Some m -> Some (t, m)
-          | None -> first_failing rest)
-      in
-      match first_failing children with
-      | None -> (x, msg, steps)
-      | Some (t, m) -> go t m (steps + 1)
+  let failing c = Option.map (fun m -> (c, m)) (eval prop (Tree.root c)) in
+  let rec go t msg steps =
+    match
+      if steps >= max_shrinks then None
+      else Seq.find_map failing (Tree.children t)
+    with
+    | None -> (Tree.root t, msg, steps)
+    | Some (c, m) -> go c m (steps + 1)
   in
   go tree first_msg 0
+
+(* Both 32-bit halves of the case seed feed the generator's state, so
+   distinct case seeds give distinct draws. *)
+let random_state seed =
+  Random.State.make
+    [|
+      Int64.to_int (Int64.logand seed 0xFFFF_FFFFL);
+      Int64.to_int (Int64.shift_right_logical seed 32);
+    |]
+
+let generate_tree ~seed gen =
+  QCheck2.Gen.generate_tree ~rand:(random_state seed) gen
+
+let generate ~seed gen = Tree.root (generate_tree ~seed gen)
 
 let run ?(cases = 100) ?(max_shrinks = 500) ~seed ~name ~print ~gen prop =
   let t0 = Unix.gettimeofday () in
@@ -55,8 +64,8 @@ let run ?(cases = 100) ?(max_shrinks = 500) ~seed ~name ~print ~gen prop =
   while !i < cases && !failures = [] do
     let case_seed = Rng.derive seed !i in
     let c0 = Unix.gettimeofday () in
-    let (Gen.Tree (x, _) as tree) = gen (Rng.create case_seed) in
-    (match eval prop x with
+    let tree = generate_tree ~seed:case_seed gen in
+    (match eval prop (Tree.root tree) with
     | None -> ()
     | Some msg ->
       let min_x, min_msg, steps = shrink prop tree msg max_shrinks in
@@ -95,7 +104,7 @@ let pp_failure name f =
     "  FAILED case %d (after %d shrink steps)\n\
     \    counterexample: %s\n\
     \    reason: %s\n\
-    \    replay: relaware check --only %s --seed %Ld --cases 1\n"
+    \    replay: relaware check --only %s --seed=%Ld --cases 1\n"
     f.case_index f.shrink_steps f.counterexample f.message name f.case_seed
 
 let pp_outcome o =

@@ -18,8 +18,6 @@ val create : ?quick:bool -> ?cache_dir:string -> ?jobs:int -> unit -> t
     (default 1) is handed to every degradation-library manager: cache-miss
     characterizations run on that many domains. *)
 
-val is_quick : t -> bool
-
 val deglib : t -> Degradation_library.t
 (** The 10-year degradation-library manager (paper lifetime). *)
 

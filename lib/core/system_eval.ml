@@ -7,33 +7,6 @@ let io_width = Designs.transform_io_width
 let io_mask = (1 lsl io_width) - 1
 let latency = 2
 
-let rated_period ?(cycles = 150) ?(seed = 17L) sim =
-  let netlist = Event_sim.design sim in
-  let rng = Aging_util.Rng.create seed in
-  let vectors =
-    Array.init cycles (fun _ ->
-        List.map
-          (fun (port, _) -> (port, Aging_util.Rng.bool rng))
-          netlist.Aging_netlist.Netlist.input_ports)
-  in
-  let stimulus n = vectors.(min n (cycles - 1)) in
-  let error_free period =
-    let trace = Event_sim.run sim ~period ~cycles ~stimulus in
-    trace.Event_sim.timing_errors = 0
-  in
-  let sta = Event_sim.min_period sim in
-  let rec search lo hi iterations =
-    (* Invariant: hi is error-free, lo is not (or untested floor). *)
-    if iterations = 0 then hi
-    else begin
-      let mid = 0.5 *. (lo +. hi) in
-      if error_free mid then search lo mid (iterations - 1)
-      else search mid hi (iterations - 1)
-    end
-  in
-  if error_free (0.5 *. sta) then 0.5 *. sta
-  else search (0.5 *. sta) (1.05 *. sta) 7
-
 (* Port names per lane and bit: [I<lane>[bit]] and [O<lane>[bit]]. *)
 let port_names prefix =
   Array.init 8 (fun lane ->
@@ -134,8 +107,6 @@ let process_image ~dct ~idct ~period image =
   out
 
 let reference_image = Dct.roundtrip_image
-
-let psnr_vs_original original processed = Image.psnr ~reference:original processed
 
 let rated_chain_period ?(margin = 1.03) ~dct ~idct image =
   let reference = reference_image image in

@@ -8,15 +8,6 @@
     chosen for the fresh design, flip-flops capture late data and the
     decoded image degrades; PSNR against the original quantifies it. *)
 
-val rated_period :
-  ?cycles:int -> ?seed:int64 -> Aging_sim.Event_sim.t -> float
-(** The maximum achieved performance of a prepared design: the smallest
-    clock period (within 1 %) at which [cycles] (default 150) random input
-    vectors capture without a single flip-flop timing error.  This is the
-    operating point of the paper's system-level experiment — the gate-level
-    analogue of "maximum performance in the absence of aging"; data-
-    dependent sensitization makes it faster than the STA bound. *)
-
 val rated_chain_period :
   ?margin:float ->
   dct:Aging_sim.Event_sim.t ->
@@ -50,6 +41,3 @@ val process_image :
 val reference_image : Aging_image.Image.t -> Aging_image.Image.t
 (** The timing-error-free result ({!Aging_image.Dct.roundtrip_image});
     what {!process_image} converges to at a sufficiently long period. *)
-
-val psnr_vs_original : Aging_image.Image.t -> Aging_image.Image.t -> float
-(** PSNR of a processed image against the original input. *)

@@ -189,10 +189,6 @@ let zext c v w =
   if w <= current then Array.sub v 0 w
   else Array.init w (fun i -> if i < current then v.(i) else zero_net c)
 
-let add_grow c a b =
-  let w = max (Array.length a) (Array.length b) + 1 in
-  add c (sext c a w) (sext c b w)
-
 let sub c a b =
   check_same_width "Bv.sub" a b;
   add ~cin:(one_net c) c a (not_ c b)

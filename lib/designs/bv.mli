@@ -72,9 +72,6 @@ val add_fast : ?cin:Aging_netlist.Netlist.net -> ctx -> t -> t -> t
 
 val sub_fast : ctx -> t -> t -> t
 
-val add_grow : ctx -> t -> t -> t
-(** Like {!add} but one bit wider (keeps the carry, operands sign-extended). *)
-
 val sub : ctx -> t -> t -> t
 val neg : ctx -> t -> t
 

@@ -1,10 +1,5 @@
 type t = { slews : float array; loads : float array }
 
-let slew_min = 5e-12
-let slew_max = 947e-12
-let load_min = 0.5e-15
-let load_max = 20e-15
-
 let paper =
   {
     slews = [| 5e-12; 15e-12; 40e-12; 90e-12; 200e-12; 450e-12; 947e-12 |];

@@ -12,10 +12,5 @@ val paper : t
 val coarse : t
 (** A 3x3 grid covering the same ranges (for unit tests). *)
 
-val slew_min : float
-val slew_max : float
-val load_min : float
-val load_max : float
-
 val count : t -> int
 (** Number of OPCs (|slews| * |loads|). *)

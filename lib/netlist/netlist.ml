@@ -364,8 +364,6 @@ let compiled_cycle c state ~inputs =
   in
   (outs, next)
 
-let net_values t state ~inputs = compiled_net_values (compile t) state ~inputs
-
 let eval_cycle t state ~inputs = compiled_cycle (compile t) state ~inputs
 
 let eval_combinational t ~inputs =

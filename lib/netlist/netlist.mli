@@ -119,11 +119,6 @@ val eval_combinational :
 (** [eval_cycle] for purely combinational netlists.
     @raise Invalid_argument if the netlist has flip-flops. *)
 
-val net_values :
-  t -> state -> inputs:(string * bool) list -> bool array
-(** The settled value of every net for the given inputs/state (clock nets
-    read as [false]); used by activity profiling. *)
-
 type compiled = private {
   netlist : t;
   order : int array;
@@ -151,7 +146,8 @@ val compiled_cycle :
 
 val compiled_net_values :
   compiled -> state -> inputs:(string * bool) list -> bool array
-(** Same contract as {!net_values}. *)
+(** The settled value of every net for the given inputs/state (clock nets
+    read as [false]); used by activity profiling. *)
 
 val next_state_of_values : compiled -> bool array -> state
 (** Extracts the captured flip-flop state from a settled net-value vector

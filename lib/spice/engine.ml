@@ -610,9 +610,6 @@ let final_voltage r node =
   let vs = r.node_voltages.(node) in
   vs.(Array.length vs - 1)
 
-let final_state r =
-  Array.map (fun vs -> vs.(Array.length vs - 1)) r.node_voltages
-
 let settled_state r = Array.map (fun vs -> vs.(0)) r.node_voltages
 
 let steps r = r.n_steps

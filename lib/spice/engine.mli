@@ -93,9 +93,6 @@ val waveform : result -> Circuit.node -> Waveform.t
 
 val final_voltage : result -> Circuit.node -> float
 
-val final_state : result -> float array
-(** Final voltage of every node (indexed by node id). *)
-
 val settled_state : result -> float array
 (** Voltage of every node at [t = 0], i.e. the DC operating point the
     pre-roll settle converged to — the warm-start seed for a neighbouring

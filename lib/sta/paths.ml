@@ -135,18 +135,3 @@ let retime ~library ~(config : Timing.config) ~analysis path =
       (start_arrival, start_slew) path.steps
   in
   final_arrival
-
-let describe path =
-  let stage_strings =
-    List.map
-      (fun s ->
-        Printf.sprintf "%s:%s[%s->%s,%s] %.1fps" s.inst.Netlist.inst_name
-          s.inst.Netlist.cell_name s.from_pin s.to_pin
-          (match s.out_dir with Library.Rise -> "r" | Library.Fall -> "f")
-          (s.stage_delay *. 1e12)
-      )
-      path.steps
-  in
-  Printf.sprintf "net%d -> %s (total %.1f ps)" path.start_net
-    (String.concat " -> " stage_strings)
-    (path.total *. 1e12)

@@ -43,6 +43,3 @@ val retime :
     endpoint arrival (including the launch clk->q stage if the path starts
     at a flip-flop).
     @raise Failure if a cell of the path is missing from [library]. *)
-
-val describe : t -> string
-(** One-line human-readable rendering ("IN -> U3:NAND2_X1 -> ... (123.4 ps)"). *)

@@ -8,24 +8,11 @@ let m_rounds = Metrics.counter "synth.rounds"
 let g_subject_nodes = Metrics.gauge "synth.subject_nodes"
 let g_cells = Metrics.gauge "synth.cells"
 
-type options = {
-  estimates : Mapper.estimate_config;
-  sta_config : Timing.config;
-  sizing_passes : int;
-  max_fanout : int;
-  map_rounds : int;
-  repair_slew : float option;
-}
+type options = { sizing_passes : int; map_rounds : int; slew_aware : bool }
 
-let default_options =
-  {
-    estimates = Mapper.default_estimates;
-    sta_config = Timing.default_config;
-    sizing_passes = 12;
-    max_fanout = 16;
-    map_rounds = 2;
-    repair_slew = Some 2.5e-10;
-  }
+let default_options = { sizing_passes = 12; map_rounds = 2; slew_aware = true }
+let max_fanout = 16
+let repair_slew = 2.5e-10
 
 let compile ?(options = default_options) ~library (netlist : Netlist.t) =
   let design = netlist.Netlist.design_name in
@@ -41,30 +28,24 @@ let compile ?(options = default_options) ~library (netlist : Netlist.t) =
     Metrics.incr m_rounds;
     let mapped =
       Span.with_ "synth.map" ~attrs (fun () ->
-          Mapper.map ~estimates:options.estimates ?hints ~library
+          Mapper.map ~slew_aware:options.slew_aware ?hints ~library
             ~design_name:design ~clock_name subject boundaries)
     in
     let buffered =
       Span.with_ "synth.buffer" ~attrs (fun () ->
-          Buffering.buffer_fanout ~max_fanout:options.max_fanout
-            mapped.Mapper.netlist)
+          Buffering.buffer_fanout ~max_fanout mapped.Mapper.netlist)
     in
     let swept =
       Span.with_ "synth.variant_sweep" ~attrs (fun () ->
-          Sizing.variant_sweep ~config:options.sta_config ~library buffered)
+          Sizing.variant_sweep ~library buffered)
     in
     let sized =
       Span.with_ "synth.resize" ~attrs (fun () ->
-          Sizing.resize ~passes:options.sizing_passes
-            ~config:options.sta_config ~library swept)
+          Sizing.resize ~passes:options.sizing_passes ~library swept)
     in
     let repaired =
-      match options.repair_slew with
-      | None -> sized
-      | Some slew_limit ->
-        Span.with_ "synth.slew_repair" ~attrs (fun () ->
-            Slew_repair.repair ~slew_limit ~config:options.sta_config ~library
-              sized)
+      Span.with_ "synth.slew_repair" ~attrs (fun () ->
+          Slew_repair.repair ~slew_limit:repair_slew ~library sized)
     in
     (repaired, mapped.Mapper.net_of_node)
   in
@@ -92,7 +73,7 @@ let compile ?(options = default_options) ~library (netlist : Netlist.t) =
     if remaining = 0 then best
     else begin
       let sized, net_of_node = one_round hints in
-      let analysis = Timing.analyze ~config:options.sta_config ~library sized in
+      let analysis = Timing.analyze ~library sized in
       let period = Timing.min_period analysis in
       let best, best_period =
         if period < best_period then (sized, period) else (best, best_period)
@@ -108,6 +89,6 @@ let compile ?(options = default_options) ~library (netlist : Netlist.t) =
     (Array.length best.Netlist.instances);
   best
 
-let min_period ?config ~library netlist =
-  Timing.min_period (Timing.analyze ?config ~library netlist)
+let min_period ~library netlist =
+  Timing.min_period (Timing.analyze ~library netlist)
 

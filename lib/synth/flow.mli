@@ -9,18 +9,18 @@
     initial library yields the traditional baseline (Sec. 4.3). *)
 
 type options = {
-  estimates : Mapper.estimate_config;
-  sta_config : Aging_sta.Timing.config;
   sizing_passes : int;
-  max_fanout : int;
   map_rounds : int;
       (** mapping rounds; rounds after the first re-map at the measured
           slews/loads of the previous implementation *)
-  repair_slew : float option;
-      (** max-transition limit handed to {!Slew_repair} (None disables) *)
+  slew_aware : bool;
+      (** handed to {!Mapper.map}; false only for the slew-blind ablation *)
 }
 
 val default_options : options
+(** 12 sizing passes, 2 mapping rounds, slew-aware.  The rest of the flow
+    is fixed: fanout buffered to at most 16 pins, max-transition repair at
+    250 ps, default STA conditions. *)
 
 val compile :
   ?options:options ->
@@ -32,7 +32,6 @@ val compile :
     instances). *)
 
 val min_period :
-  ?config:Aging_sta.Timing.config ->
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   float

@@ -2,20 +2,11 @@ module Library = Aging_liberty.Library
 module Netlist = Aging_netlist.Netlist
 module Cell = Aging_cells.Cell
 
-type estimate_config = {
-  est_slew : float;
-  est_load_base : float;
-  est_load_fanout : float;
-  slew_aware : bool;
-}
-
-let default_estimates =
-  {
-    est_slew = 4e-11;
-    est_load_base = 1e-15;
-    est_load_fanout = 1e-15;
-    slew_aware = true;
-  }
+(* Operating conditions assumed where no hint measured them: input slew
+   [s], intrinsic load and additional load per fanout [F]. *)
+let est_slew = 4e-11
+let est_load_base = 1e-15
+let est_load_fanout = 1e-15
 
 (* A mappable pattern: the cell's NAND2/INV decomposition as a mini subject
    graph, with its sources named after the cell pins. *)
@@ -129,7 +120,7 @@ type result = {
   net_of_node : Netlist.net option array;
 }
 
-let map ?(estimates = default_estimates) ?hints ~library ~design_name
+let map ~slew_aware ?hints ~library ~design_name
     ~clock_name subject (boundaries : Decompose.boundaries) =
   let patterns =
     List.filter_map pattern_of_entry (Library.entries library)
@@ -139,7 +130,7 @@ let map ?(estimates = default_estimates) ?hints ~library ~design_name
   let order = Subject.topological subject in
   let n = Subject.size subject in
   let arrival = Array.make n infinity in
-  let out_slew = Array.make n estimates.est_slew in
+  let out_slew = Array.make n est_slew in
   let choice = Array.make n None in
   let hint_load node_id =
     match hints with
@@ -159,8 +150,8 @@ let map ?(estimates = default_estimates) ?hints ~library ~design_name
         match hint_load node_id with
         | Some l -> l
         | None ->
-          estimates.est_load_base
-          +. (estimates.est_load_fanout *. float_of_int (max 1 fanout.(node_id)))
+          est_load_base
+          +. (est_load_fanout *. float_of_int (max 1 fanout.(node_id)))
       in
       let rec fold_pins acc_arr acc_slew = function
         | [] -> Some (acc_arr, acc_slew)
@@ -171,9 +162,7 @@ let map ?(estimates = default_estimates) ?hints ~library ~design_name
             let slew_in =
               match hint_slew leaf with
               | Some s -> s
-              | None ->
-                if estimates.slew_aware then out_slew.(leaf)
-                else estimates.est_slew
+              | None -> if slew_aware then out_slew.(leaf) else est_slew
             in
             let d =
               Float.max
@@ -202,7 +191,7 @@ let map ?(estimates = default_estimates) ?hints ~library ~design_name
       match Subject.node subject node_id with
       | Subject.Source _ | Subject.Const _ ->
         arrival.(node_id) <- 0.;
-        out_slew.(node_id) <- estimates.est_slew
+        out_slew.(node_id) <- est_slew
       | Subject.Nand _ | Subject.Inv _ ->
         List.iter
           (fun p ->

@@ -8,16 +8,6 @@
     decision aging-conscious, which is exactly how the paper retrofits aging
     optimization into an unmodified synthesis flow (Sec. 4.3). *)
 
-type estimate_config = {
-  est_slew : float;        (** input slew assumed during covering [s] *)
-  est_load_base : float;   (** intrinsic load estimate [F] *)
-  est_load_fanout : float; (** additional load per fanout [F] *)
-  slew_aware : bool;
-      (** when false, delay estimates ignore the slew axis (ablation) *)
-}
-
-val default_estimates : estimate_config
-
 type hints = {
   node_slew : float array;   (** measured transition per subject node [s] *)
   node_load : float array;   (** measured load per subject node [F] *)
@@ -35,7 +25,7 @@ type result = {
 }
 
 val map :
-  ?estimates:estimate_config ->
+  slew_aware:bool ->
   ?hints:hints ->
   library:Aging_liberty.Library.t ->
   design_name:string ->
@@ -44,6 +34,9 @@ val map :
   Decompose.boundaries ->
   result
 (** Covers the subject graph and reconstructs a netlist (flip-flops
-    reinstated from the boundaries).
+    reinstated from the boundaries).  Without hints, covering assumes a
+    40 ps input slew and a load of 1 fF plus 1 fF per fanout; with
+    [slew_aware = false] (the ablation) every pin sees the 40 ps slew
+    instead of its driver's estimated output slew.
     @raise Failure if some live node cannot be covered (the library must
     contain at least NAND2 and INV). *)

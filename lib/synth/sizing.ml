@@ -36,11 +36,14 @@ let better a b =
   a.period < b.period -. eps
   || (a.period < b.period +. eps && a.lateness < b.lateness -. eps)
 
-let resize ?(passes = 10) ?(max_trials = 250) ?config ~library netlist =
+(* Trial swaps per pass. *)
+let max_trials = 250
+
+let resize ?(passes = 10) ~library netlist =
   (* Each trial swaps one cell in an incremental timer and rolls the swap
      back unless it improves the cost; the timer's analysis always equals
      a full pass over the current netlist. *)
-  let timer = Timing.Incremental.create ?config ~library netlist in
+  let timer = Timing.Incremental.create ~library netlist in
   let analysis = Timing.Incremental.analysis timer in
   let trials = ref 0 in
   let one_pass () =
@@ -116,10 +119,10 @@ let total_input_cap (entry : Library.entry) =
 (* Cost of presenting a bigger pin to the (unknown) upstream driver. *)
 let upstream_resistance_estimate = 3e3
 
-let variant_sweep ?(rounds = 3) ?config ~library netlist =
+let variant_sweep ~library netlist =
   let structure = Timing.prepare_structure netlist in
   let one_round nl =
-    let analysis = Timing.analyze ?config ~structure ~library nl in
+    let analysis = Timing.analyze ~structure ~library nl in
     let base_period = Timing.min_period analysis in
     let choose (inst : Netlist.instance) =
       let cell = Netlist.catalog_cell inst in
@@ -158,7 +161,7 @@ let variant_sweep ?(rounds = 3) ?config ~library netlist =
     in
     let swept = Netlist.rename_cells choose nl in
     let new_period =
-      Timing.min_period (Timing.analyze ?config ~structure ~library swept)
+      Timing.min_period (Timing.analyze ~structure ~library swept)
     in
     if new_period < base_period +. eps then (swept, new_period < base_period -. eps)
     else (nl, false)
@@ -170,4 +173,4 @@ let variant_sweep ?(rounds = 3) ?config ~library netlist =
       if improved then loop nl' (remaining - 1) else nl'
     end
   in
-  loop netlist rounds
+  loop netlist 3

@@ -9,17 +9,12 @@
 
 val resize :
   ?passes:int ->
-  ?max_trials:int ->
-  ?config:Aging_sta.Timing.config ->
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   Aging_netlist.Netlist.t
-(** Defaults: [passes = 10], [max_trials = 250] trial swaps per pass.
-    Stops early when a pass finds no improving move. *)
+(** Defaults: [passes = 10]; at most 250 trial swaps per pass.  Stops early when a pass finds no improving move. *)
 
 val variant_sweep :
-  ?rounds:int ->
-  ?config:Aging_sta.Timing.config ->
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   Aging_netlist.Netlist.t
@@ -31,4 +26,4 @@ val variant_sweep :
     large designs; a round is kept only if the design's minimum period does
     not degrade.  Against a degradation-aware library this is precisely the
     paper's "select the most suitable gate/cell for each OPC" (Sec. 4.3).
-    Defaults: [rounds = 3]. *)
+    At most 3 rounds. *)

@@ -58,8 +58,7 @@ let insert_buffer (t : Netlist.t) ~net ~buf_cell ~inst_name =
     instances = Array.append instances [| buffer |];
   }
 
-let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
-    ~library netlist =
+let repair ?(slew_limit = default_slew_limit) ~library netlist =
   (* Buffer names must not collide with instances already in the netlist,
      which may itself come out of an earlier repair. *)
   let taken = Hashtbl.create (Array.length netlist.Netlist.instances) in
@@ -75,7 +74,7 @@ let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
   let rec iterate netlist remaining =
     if remaining = 0 then netlist
     else begin
-      let analysis = Timing.analyze ?config ~library netlist in
+      let analysis = Timing.analyze ~library netlist in
       let base_period = Timing.min_period analysis in
       (* Driver map: net -> instance index. *)
       let driver = Hashtbl.create 256 in
@@ -124,7 +123,7 @@ let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
               Option.iter
                 (fun cand ->
                   let p =
-                    Timing.min_period (Timing.analyze ?config ~library cand)
+                    Timing.min_period (Timing.analyze ~library cand)
                   in
                   if p <= !current_period +. 1e-13 then begin
                     current := cand;
@@ -137,4 +136,4 @@ let repair ?(slew_limit = default_slew_limit) ?(max_iterations = 5) ?config
       end
     end
   in
-  iterate netlist max_iterations
+  iterate netlist 5

@@ -13,10 +13,8 @@
 
 val repair :
   ?slew_limit:float ->
-  ?max_iterations:int ->
-  ?config:Aging_sta.Timing.config ->
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   Aging_netlist.Netlist.t
-(** Defaults: [slew_limit = 100 ps], [max_iterations = 5].  Keeps a change
-    only if it does not worsen the design's minimum period. *)
+(** Default [slew_limit = 100 ps]; at most 5 repair iterations.  Keeps a
+    change only if it does not worsen the design's minimum period. *)

@@ -1,12 +1,9 @@
-type t = { mutable state : int64; gamma : int64 }
+type t = { mutable state : int64 }
 
-(* splitmix64 (Steele et al.): state += gamma; output = mix(state).  The
-   gamma is the per-stream increment; [create] uses the golden gamma, so
-   sequences are bit-identical to the historical single-field
-   implementation. *)
+(* splitmix64 (Steele et al.): state += golden gamma; output = mix(state). *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed; gamma = golden_gamma }
+let create seed = { state = seed }
 
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -15,11 +12,8 @@ let mix z =
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Gammas must be odd so the state walk has full period. *)
-let mix_gamma z = Int64.logor (mix z) 1L
-
 let int64 t =
-  t.state <- Int64.add t.state t.gamma;
+  t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
 let float t =
@@ -33,20 +27,6 @@ let int t bound =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let copy t = { t with state = t.state }
-
-let split t =
-  let state = int64 t in
-  let gamma = mix_gamma (int64 t) in
-  { state; gamma }
-
 let derive seed k =
   if k = 0 then seed
   else mix (Int64.add seed (Int64.mul (Int64.of_int k) golden_gamma))
-
-let substream t k =
-  if k < 0 then invalid_arg "Rng.substream: negative index";
-  (* Mix in (k+1) so substream 0 is decorrelated from the parent's own
-     continuation; the parent state is read, never advanced. *)
-  { state = mix (Int64.add t.state (Int64.mul (Int64.of_int (k + 1)) golden_gamma));
-    gamma = golden_gamma }

@@ -1,17 +1,9 @@
 (** Deterministic splitmix64 pseudo-random generator.
 
     Every stochastic piece of the reproduction (workload stimuli, synthetic
-    images, property-test inputs) draws from this generator so that
-    experiments are bit-reproducible across runs.
-
-    Two derivation mechanisms support order-insensitive generation (the
-    property-test kernel in [lib/check] leans on both):
-
-    - {!split} forks a child stream Steele-style, drawing a fresh state
-      {e and} a fresh odd gamma from the parent (which advances);
-    - {!substream} derives the [k]-th indexed child without touching the
-      parent at all, so sibling generators are independent of the order in
-      which they are created or consumed. *)
+    images, the property-test case seeds) draws from this generator so that
+    experiments are bit-reproducible across runs.  {!derive} names the
+    replayable per-case seeds of the property runner in [lib/check]. *)
 
 type t
 (** Mutable generator state. *)
@@ -33,22 +25,8 @@ val int : t -> int -> int
 val bool : t -> bool
 (** Fair coin. *)
 
-val copy : t -> t
-(** Snapshot: an independent generator that will replay exactly the
-    outputs [t] would produce from this point. *)
-
-val split : t -> t
-(** [split t] derives an independent generator stream (fresh state and
-    fresh odd gamma, both drawn from [t]) and advances [t] by two draws. *)
-
 val derive : int64 -> int -> int64
 (** [derive seed k] is the seed of the [k]-th replayable sub-stream of
     [seed]; [derive seed 0 = seed], so a reported per-case seed can be fed
     straight back into [create] (or [--seed]) to replay case 0 of that
     stream. *)
-
-val substream : t -> int -> t
-(** [substream t k] is the [k]-th indexed child generator of [t]'s current
-    state.  Does {e not} advance [t]; distinct [k] give decorrelated
-    streams, and the result is independent of any later draws from [t].
-    @raise Invalid_argument if [k < 0]. *)

@@ -1,10 +1,10 @@
-(* Tests for the property-testing kernel itself (lib/check) plus the
-   satellite coverage that rides on it: Rng sub-streams, fixture identity
-   across job counts, SDF round-trips on a generated netlist, and
-   PGM-file / DCT-bound checks driven by the new generators. *)
+(* Tests for the property runner itself (lib/check: case seeds, replay,
+   shrinking over QCheck2 generators) plus the coverage that rides on it:
+   fixture identity across job counts, SDF round-trips on a generated
+   netlist, and PGM-file / DCT-bound checks on generated inputs. *)
 
 module Rng = Aging_util.Rng
-module Gen = Aging_check.Gen
+module Gen = QCheck2.Gen
 module Runner = Aging_check.Runner
 module Netgen = Aging_check.Netgen
 module Oracles = Aging_check.Oracles
@@ -14,48 +14,7 @@ module Image = Aging_image.Image
 module Pgm = Aging_image.Pgm
 module Dct = Aging_image.Dct
 
-(* ------------------------- Rng sub-streams ------------------------- *)
-
-let test_rng_split_deterministic () =
-  let a = Rng.create 99L and b = Rng.create 99L in
-  let ca = Rng.split a and cb = Rng.split b in
-  for _ = 1 to 16 do
-    Alcotest.(check int64) "child streams agree" (Rng.int64 ca) (Rng.int64 cb);
-    Alcotest.(check int64) "parents agree after split" (Rng.int64 a)
-      (Rng.int64 b)
-  done
-
-let test_rng_split_diverges_from_parent () =
-  let a = Rng.create 7L in
-  let reference = Rng.copy a in
-  let child = Rng.split a in
-  let overlap = ref 0 in
-  for _ = 1 to 32 do
-    if Rng.int64 child = Rng.int64 reference then incr overlap
-  done;
-  Alcotest.(check int) "child repeats none of the parent's outputs" 0 !overlap
-
-let test_rng_substream_order_insensitive () =
-  (* Sibling sub-streams are functions of (parent state, k) only: asking
-     for them in a different order, or drawing from the parent afterwards,
-     must not change what they produce. *)
-  let t1 = Rng.create 5L and t2 = Rng.create 5L in
-  let a3 = Rng.substream t1 3 and a1 = Rng.substream t1 1 in
-  let b1 = Rng.substream t2 1 and b3 = Rng.substream t2 3 in
-  ignore (Rng.int64 t2);
-  for _ = 1 to 8 do
-    Alcotest.(check int64) "substream 1 stable" (Rng.int64 a1) (Rng.int64 b1);
-    Alcotest.(check int64) "substream 3 stable" (Rng.int64 a3) (Rng.int64 b3)
-  done;
-  Alcotest.(check bool) "distinct k decorrelated" false
-    (Rng.int64 (Rng.substream t1 0) = Rng.int64 (Rng.substream t1 2))
-
-let test_rng_substream_leaves_parent () =
-  let t = Rng.create 13L in
-  let witness = Rng.copy t in
-  ignore (Rng.substream t 4);
-  Alcotest.(check int64) "parent unmoved by substream" (Rng.int64 witness)
-    (Rng.int64 t)
+(* ----------------------------- seeds ----------------------------- *)
 
 let test_rng_derive () =
   Alcotest.(check int64) "derive s 0 = s" 1234L (Rng.derive 1234L 0);
@@ -65,28 +24,14 @@ let test_rng_derive () =
   done;
   Alcotest.(check int) "64 distinct case seeds" 64 (Hashtbl.length seen)
 
-(* ----------------------- generator kernel ----------------------- *)
+(* ----------------------------- runner ----------------------------- *)
 
 let test_gen_deterministic () =
-  let a = Gen.generate ~seed:42L Netgen.spec in
-  let b = Gen.generate ~seed:42L Netgen.spec in
+  let a = Runner.generate ~seed:42L Netgen.spec in
+  let b = Runner.generate ~seed:42L Netgen.spec in
   Alcotest.(check bool) "same seed, same spec" true (a = b);
-  let c = Gen.generate ~seed:43L Netgen.spec in
+  let c = Runner.generate ~seed:43L Netgen.spec in
   Alcotest.(check bool) "different seed, different spec" false (a = c)
-
-let test_gen_ranges () =
-  for seed = 0 to 49 do
-    let x = Gen.generate ~seed:(Int64.of_int seed) (Gen.int_range 3 9) in
-    Alcotest.(check bool) "int_range in bounds" true (x >= 3 && x <= 9);
-    let f = Gen.generate ~seed:(Int64.of_int seed) (Gen.float_range 1.5 2.5) in
-    Alcotest.(check bool) "float_range in bounds" true (f >= 1.5 && f < 2.5);
-    let l =
-      Gen.generate ~seed:(Int64.of_int seed)
-        (Gen.list_range 2 5 (Gen.int_range 0 10))
-    in
-    let n = List.length l in
-    Alcotest.(check bool) "list_range length" true (n >= 2 && n <= 5)
-  done
 
 let test_runner_replays_cases () =
   (* The same seed must feed the property the same inputs, in order. *)
@@ -105,6 +50,25 @@ let test_runner_replays_cases () =
   in
   Alcotest.(check bool) "two runs, same inputs" true (record () = record ())
 
+let test_runner_case_inputs () =
+  (* The replay contract: case [i] of a run at seed [S] sees exactly the
+     input [generate] draws from the case seed [derive S i]. *)
+  let seen = ref [] in
+  let outcome =
+    Runner.run ~cases:8 ~seed:11L ~name:"inputs" ~print:Netgen.pp_spec
+      ~gen:Netgen.spec (fun s ->
+        seen := s :: !seen;
+        Ok ())
+  in
+  Alcotest.(check int) "eight cases" 8 outcome.Runner.cases_run;
+  List.iteri
+    (fun i s ->
+      Alcotest.(check string)
+        (Printf.sprintf "case %d" i)
+        (Netgen.pp_spec (Runner.generate ~seed:(Rng.derive 11L i) Netgen.spec))
+        (Netgen.pp_spec s))
+    (List.rev !seen)
+
 let test_shrink_int_minimal () =
   let outcome =
     Runner.run ~cases:200 ~seed:3L ~name:"int<37" ~print:string_of_int
@@ -121,7 +85,7 @@ let test_shrink_list_minimal () =
   let print l = String.concat "," (List.map string_of_int l) in
   let outcome =
     Runner.run ~cases:200 ~seed:9L ~name:"len<=4" ~print
-      ~gen:(Gen.list_range 0 10 (Gen.int_range 0 100))
+      ~gen:(Gen.list_size (Gen.int_range 0 10) (Gen.int_range 0 100))
       (fun l -> if List.length l <= 4 then Ok () else Error "too long")
   in
   match outcome.Runner.failures with
@@ -139,6 +103,11 @@ let test_failure_seed_replays () =
   in
   match outcome.Runner.failures with
   | [ f ] ->
+    (* The replay line must parse even for a negative case seed. *)
+    Alcotest.(check bool) "replay line uses --seed=" true
+      (Fixtures.contains
+         ~needle:(Printf.sprintf "--seed=%Ld --cases 1" f.Runner.case_seed)
+         (Runner.pp_outcome outcome));
     let again =
       Runner.run ~cases:1 ~seed:f.Runner.case_seed ~name:"replay-1"
         ~print:string_of_int ~gen prop
@@ -152,7 +121,7 @@ let test_failure_seed_replays () =
 
 let test_netgen_well_formed () =
   for seed = 0 to 19 do
-    let s = Gen.generate ~seed:(Int64.of_int seed) Netgen.spec in
+    let s = Runner.generate ~seed:(Int64.of_int seed) Netgen.spec in
     let n = Netgen.build s in
     let order = Aging_netlist.Netlist.combinational_order n in
     Alcotest.(check bool) "acyclic (topological order exists)" true
@@ -193,7 +162,7 @@ let test_fixture_jobs_identity () =
 (* ------------------- SDF on a generated netlist ------------------- *)
 
 let test_sdf_roundtrip_generated () =
-  let spec = Gen.generate ~seed:2024L Netgen.spec in
+  let spec = Runner.generate ~seed:2024L Netgen.spec in
   let n = Netgen.build spec in
   let analysis = Timing.analyze ~library:(Lazy.force Fixtures.fresh_library) n in
   let sdf = Sdf.of_analysis analysis in
@@ -231,13 +200,13 @@ let image_gen =
   let open Gen in
   let* w = int_range 1 16 in
   let* h = int_range 1 16 in
-  let+ pixels = list_range (w * h) (w * h) (int_range 0 255) in
+  let+ pixels = list_repeat (w * h) (int_range 0 255) in
   { Image.width = w; height = h; pixels = Array.of_list pixels }
 
 let test_pgm_file_roundtrip () =
   List.iteri
     (fun i binary ->
-      let img = Gen.generate ~seed:(Int64.of_int (100 + i)) image_gen in
+      let img = Runner.generate ~seed:(Int64.of_int (100 + i)) image_gen in
       let path = Filename.temp_file "aging_pgm" ".pgm" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -253,7 +222,7 @@ let test_dct_bound_random_blocks () =
   let print l = String.concat "," (List.map string_of_int l) in
   let outcome =
     Runner.run ~cases:200 ~seed:8L ~name:"dct-idct" ~print
-      ~gen:(Gen.list_range 64 64 (Gen.int_range (-128) 127))
+      ~gen:(Gen.list_repeat 64 (Gen.int_range (-128) 127))
       (fun l ->
         let block = Array.of_list l in
         let decoded = Dct.inverse_8x8 (Dct.forward_8x8 block) in
@@ -269,18 +238,11 @@ let test_dct_bound_random_blocks () =
 
 let suite =
   [
-    Alcotest.test_case "rng split determinism" `Quick
-      test_rng_split_deterministic;
-    Alcotest.test_case "rng split diverges from parent" `Quick
-      test_rng_split_diverges_from_parent;
-    Alcotest.test_case "rng substream order-insensitive" `Quick
-      test_rng_substream_order_insensitive;
-    Alcotest.test_case "rng substream leaves parent" `Quick
-      test_rng_substream_leaves_parent;
     Alcotest.test_case "rng derive" `Quick test_rng_derive;
     Alcotest.test_case "gen deterministic" `Quick test_gen_deterministic;
-    Alcotest.test_case "gen ranges" `Quick test_gen_ranges;
     Alcotest.test_case "runner replays cases" `Quick test_runner_replays_cases;
+    Alcotest.test_case "runner case inputs replay from case seeds" `Quick
+      test_runner_case_inputs;
     Alcotest.test_case "shrink int to boundary" `Quick test_shrink_int_minimal;
     Alcotest.test_case "shrink list to minimum" `Quick
       test_shrink_list_minimal;

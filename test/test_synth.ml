@@ -66,7 +66,7 @@ let test_map_counter_equivalent () =
   let design = Designs.counter ~bits:5 in
   let subject, bounds = Decompose.of_netlist design in
   let result =
-    Mapper.map ~library:(fresh ()) ~design_name:"c" ~clock_name:"clk" subject bounds
+    Mapper.map ~slew_aware:true ~library:(fresh ()) ~design_name:"c" ~clock_name:"clk" subject bounds
   in
   Alcotest.(check bool) "functionally equivalent" true
     (Fixtures.equivalent design result.Mapper.netlist);
@@ -84,7 +84,7 @@ let test_map_dsp_equivalent () =
   let design = Designs.dsp () in
   let subject, bounds = Decompose.of_netlist design in
   let result =
-    Mapper.map ~library:(fresh ()) ~design_name:"dsp" ~clock_name:"clk" subject
+    Mapper.map ~slew_aware:true ~library:(fresh ()) ~design_name:"dsp" ~clock_name:"clk" subject
       bounds
   in
   Alcotest.(check bool) "dsp equivalent after mapping" true
@@ -204,7 +204,7 @@ let test_mapper_needs_base_cells () =
   let design = Designs.counter ~bits:2 in
   let subject, bounds = Decompose.of_netlist design in
   try
-    ignore (Mapper.map ~library:tiny ~design_name:"c" ~clock_name:"clk" subject bounds);
+    ignore (Mapper.map ~slew_aware:true ~library:tiny ~design_name:"c" ~clock_name:"clk" subject bounds);
     Alcotest.fail "mapping without NAND2/INV succeeded"
   with Failure _ -> ()
 

@@ -105,11 +105,6 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
-let test_rng_split () =
-  let a = Rng.create 42L in
-  let b = Rng.split a in
-  Alcotest.(check bool) "split streams differ" true (Rng.int64 a <> Rng.int64 b)
-
 let prop_rng_float_range =
   Fixtures.qtest "float in [0,1)"
     QCheck2.Gen.(int64)
@@ -361,7 +356,6 @@ let suite =
     ("stats: fraction below", `Quick, test_fraction_below);
     ("stats: errors", `Quick, test_stats_errors);
     ("rng: deterministic", `Quick, test_rng_deterministic);
-    ("rng: split", `Quick, test_rng_split);
     ("retry: first try", `Quick, test_retry_first_try);
     ("retry: recovers after escalation", `Quick, test_retry_recovers);
     ("retry: exhausted ladder", `Quick, test_retry_exhausted);
