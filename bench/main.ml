@@ -249,7 +249,9 @@ let micro () =
   in
   (* One 1-D pass of eight 8-sample vectors (13-bit signed) through the
      fresh DCT at its STA period. *)
-  let dct = Aging_sim.Event_sim.prepare ~library:fresh (Aging_designs.Designs.dct ()) in
+  let dct_design = Aging_designs.Designs.dct () in
+  let dct_structure = Aging_sta.Timing.prepare_structure dct_design in
+  let dct = Aging_sim.Event_sim.prepare ~library:fresh dct_design in
   let dct_period = Aging_sim.Event_sim.min_period dct in
   let dct_vectors =
     let rng = Aging_util.Rng.create 8L in
@@ -263,10 +265,12 @@ let micro () =
   let tests =
     [
       Test.make ~name:"nldm-lookup" (Staged.stage (fun () ->
-          Aging_liberty.Library.delay_of arc ~dir:Aging_liberty.Library.Rise
+          Aging_liberty.Nldm.lookup arc.Aging_liberty.Library.delay_rise
             ~slew:5.3e-11 ~load:3.1e-15));
       Test.make ~name:"sta-full-pass-risc5" (Staged.stage (fun () ->
           Aging_sta.Timing.analyze ~structure ~library:fresh design));
+      Test.make ~name:"sta-full-pass-dct" (Staged.stage (fun () ->
+          Aging_sta.Timing.analyze ~structure:dct_structure ~library:fresh dct_design));
       Test.make ~name:"sta-swap-risc5" (Staged.stage (fun () ->
           Aging_sta.Timing.Incremental.swap timer ~inst:swap_inst ~cell:swap_cell;
           Aging_sta.Timing.Incremental.rollback timer));

@@ -5,7 +5,7 @@
     bilinear interpolation and linear extrapolation outside the
     characterized grid. *)
 
-type table = {
+type table = private {
   slews : float array;           (** input-slew axis [s], strictly increasing *)
   loads : float array;           (** load axis [F], strictly increasing *)
   values : float array array;    (** [values.(slew_index).(load_index)] [s] *)
@@ -17,6 +17,21 @@ val make :
 
 val lookup : table -> slew:float -> load:float -> float
 (** Bilinear interpolation / extrapolation. *)
+
+val lookup_pair : table -> table -> float array -> int
+(** [lookup_pair delay slew io] interpolates both tables at the point
+    ([io.(0)] input slew, [io.(1)] load), writing the [delay] value to
+    [io.(2)] and the [slew] value to [io.(3)]: the same bits as two
+    {!lookup} calls, with no allocation.  The STA kernel makes one such
+    call per arc edge.  Returns where the point lies strictly outside each
+    table's axes (so the value was extrapolated): the {!slew_low},
+    {!slew_high}, {!load_low} and {!load_high} bits for [delay], the same
+    bits shifted left by 4 for [slew]. *)
+
+val slew_low : int
+val slew_high : int
+val load_low : int
+val load_high : int
 
 val tabulate :
   slews:float array -> loads:float array -> (slew:float -> load:float -> float)

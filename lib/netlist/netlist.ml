@@ -173,49 +173,60 @@ end
 let flipflops t =
   Array.to_list (Array.of_seq (Seq.filter is_flipflop (Array.to_seq t.instances)))
 
-let combinational_indices t =
-  let driver = Hashtbl.create (t.n_nets * 2) in
+let levelize t =
+  let n = Array.length t.instances in
+  let ff = Array.map is_flipflop t.instances in
+  let driver = Array.make t.n_nets (-1) in
   Array.iteri
     (fun idx inst ->
-      List.iter (fun (_, n) -> Hashtbl.replace driver n idx) inst.outputs)
+      if not ff.(idx) then
+        List.iter (fun (_, net) -> driver.(net) <- idx) inst.outputs)
     t.instances;
-  let comb = Array.map (fun inst -> not (is_flipflop inst)) t.instances in
   (* In-degree of each combinational instance counted over nets driven by
      other combinational instances. *)
-  let indegree = Array.make (Array.length t.instances) 0 in
-  let dependents = Array.make (Array.length t.instances) [] in
+  let indegree = Array.make n 0 in
+  let dependents = Array.make n [] in
   Array.iteri
     (fun idx inst ->
-      if comb.(idx) then
+      if not ff.(idx) then
         List.iter
-          (fun (_, n) ->
-            match Hashtbl.find_opt driver n with
-            | Some d when comb.(d) ->
+          (fun (_, net) ->
+            let d = driver.(net) in
+            if d >= 0 then begin
               indegree.(idx) <- indegree.(idx) + 1;
               dependents.(d) <- idx :: dependents.(d)
-            | Some _ | None -> ())
+            end)
           inst.inputs)
     t.instances;
-  let queue = Queue.create () in
+  (* Kahn's algorithm; [order] doubles as the FIFO queue. *)
+  let n_comb = Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 ff in
+  let order = Array.make n_comb 0 in
+  let tail = ref 0 in
   Array.iteri
-    (fun idx _ -> if comb.(idx) && indegree.(idx) = 0 then Queue.add idx queue)
-    t.instances;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let idx = Queue.pop queue in
-    order := idx :: !order;
-    incr seen;
+    (fun idx f ->
+      if (not f) && indegree.(idx) = 0 then begin
+        order.(!tail) <- idx;
+        incr tail
+      end)
+    ff;
+  let head = ref 0 in
+  while !head < !tail do
+    let idx = order.(!head) in
+    incr head;
     List.iter
       (fun d ->
         indegree.(d) <- indegree.(d) - 1;
-        if indegree.(d) = 0 then Queue.add d queue)
+        if indegree.(d) = 0 then begin
+          order.(!tail) <- d;
+          incr tail
+        end)
       dependents.(idx)
   done;
-  let total_comb = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 comb in
-  if !seen <> total_comb then
+  if !tail <> n_comb then
     failwith ("Netlist.combinational_order: combinational cycle in " ^ t.design_name);
-  Array.of_list (List.rev !order)
+  (ff, order)
+
+let combinational_indices t = snd (levelize t)
 
 let combinational_order t =
   Array.to_list (Array.map (fun idx -> t.instances.(idx)) (combinational_indices t))

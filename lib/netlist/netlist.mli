@@ -83,6 +83,11 @@ val combinational_order : t -> instance list
 val combinational_indices : t -> int array
 (** {!combinational_order} as indices into [instances]. *)
 
+val levelize : t -> bool array * int array
+(** [(ff, order)]: [ff.(i)] tells whether instance [i] is a flip-flop, and
+    [order] is {!combinational_indices}; one catalog lookup per instance.
+    @raise Failure on a combinational cycle or an unknown cell. *)
+
 val flipflops : t -> instance list
 
 val driver_of : t -> net -> (instance * string) option

@@ -115,18 +115,10 @@ let dir_fall = 1
 let prepare ?config ~library netlist =
   let analysis = Timing.analyze ?config ~library netlist in
   let compiled = Netlist.compile netlist in
-  let resolve inst =
-    match Library.find library inst.Netlist.cell_name with
-    | Some e -> e
-    | None -> (
-      match Library.find library (Netlist.base_cell_name inst.Netlist.cell_name) with
-      | Some e -> e
-      | None -> failwith ("Event_sim: cell not in library: " ^ inst.Netlist.cell_name))
-  in
   (* delay.(pin).(out).(dir): propagation delay when input [pin] triggers a
      transition of output [out]. *)
   let gate_delays inst =
-    let entry = resolve inst in
+    let entry = Timing.resolve_entry library inst.Netlist.cell_name in
     let in_nets = Array.of_list (List.map snd inst.Netlist.inputs) in
     let out_nets = Array.of_list (List.map snd inst.Netlist.outputs) in
     let pins = Array.of_list (List.map fst inst.Netlist.inputs) in
@@ -240,7 +232,8 @@ let prepare ?config ~library netlist =
   let clkq dir =
     Array.mapi
       (fun fi inst ->
-        match Library.arc_of (resolve inst) ~from_pin:"CK" ~to_pin:"Q" with
+        let entry = Timing.resolve_entry library inst.Netlist.cell_name in
+        match Library.arc_of entry ~from_pin:"CK" ~to_pin:"Q" with
         | Some arc ->
           Library.delay_of arc ~dir ~slew:cfg.Timing.clock_slew
             ~load:(Timing.load_on analysis compiled.Netlist.ff_q.(fi))
@@ -255,7 +248,11 @@ let prepare ?config ~library netlist =
     edge_gate;
     delay_start;
     edge_delay;
-    ff_setup = Array.map (fun inst -> (resolve inst).Library.setup_time) ffs;
+    ff_setup =
+      Array.map
+        (fun (inst : Netlist.instance) ->
+          (Timing.resolve_entry library inst.Netlist.cell_name).Library.setup_time)
+        ffs;
     clkq_rise = clkq Library.Rise;
     clkq_fall = clkq Library.Fall;
   }

@@ -69,20 +69,6 @@ let critical analysis =
   | [] -> failwith "Paths.critical: no endpoints"
   | worst :: _ -> trace analysis worst
 
-let resolve_entry_exn library (inst : Netlist.instance) =
-  let found =
-    match Library.find library inst.Netlist.cell_name with
-    | Some e -> Some e
-    | None ->
-      Library.find library (Netlist.base_cell_name inst.Netlist.cell_name)
-  in
-  match found with
-  | Some e -> e
-  | None ->
-    failwith
-      (Printf.sprintf "Paths.retime: cell %s not in library %s"
-         inst.Netlist.cell_name (Library.lib_name library))
-
 let retime ~library ~(config : Timing.config) ~analysis path =
   let netlist = Timing.netlist analysis in
   (* Launch stage: either a primary input or a flip-flop Q pin. *)
@@ -95,7 +81,7 @@ let retime ~library ~(config : Timing.config) ~analysis path =
     match Netlist.driver_of netlist path.start_net with
     | None -> (0., config.Timing.input_slew)
     | Some (ff_inst, qpin) ->
-      let entry = resolve_entry_exn library ff_inst in
+      let entry = Timing.resolve_entry library ff_inst.Netlist.cell_name in
       begin
         match Library.arc_of entry ~from_pin:"CK" ~to_pin:qpin with
         | None -> (0., config.Timing.input_slew)
@@ -110,7 +96,7 @@ let retime ~library ~(config : Timing.config) ~analysis path =
   let final_arrival, _ =
     List.fold_left
       (fun (arrival_in, slew_in) step ->
-        let entry = resolve_entry_exn library step.inst in
+        let entry = Timing.resolve_entry library step.inst.Netlist.cell_name in
         let arc =
           match
             Library.arc_of entry ~from_pin:step.from_pin ~to_pin:step.to_pin

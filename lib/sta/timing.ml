@@ -1,4 +1,5 @@
 module Library = Aging_liberty.Library
+module Nldm = Aging_liberty.Nldm
 module Netlist = Aging_netlist.Netlist
 module Metrics = Aging_obs.Metrics
 module Span = Aging_obs.Span
@@ -8,15 +9,14 @@ let m_updates = Metrics.counter "sta.updates"
 let m_arcs = Metrics.counter "sta.arcs_evaluated"
 let m_lookups = Metrics.counter "sta.lookups"
 
-(* Counted NLDM accesses: every bilinear interpolation the analysis performs
-   goes through these two wrappers. *)
-let lookup_delay arc ~dir ~slew ~load =
-  Metrics.incr m_lookups;
-  Library.delay_of arc ~dir ~slew ~load
+(* Lookups whose point lies strictly outside the table's axes, by side, in
+   the order of [sides]. *)
+let sides = [| Nldm.slew_low; Nldm.slew_high; Nldm.load_low; Nldm.load_high |]
 
-let lookup_out_slew arc ~dir ~slew ~load =
-  Metrics.incr m_lookups;
-  Library.out_slew_of arc ~dir ~slew ~load
+let m_extrapolated =
+  Array.map
+    (fun side -> Metrics.counter ("sta.lookups.extrapolated." ^ side))
+    [| "slew_low"; "slew_high"; "load_low"; "load_high" |]
 
 type config = {
   input_slew : float;
@@ -46,119 +46,198 @@ type endpoint_timing = {
 
 let dir_index = function Library.Rise -> 0 | Library.Fall -> 1
 
-let resolve_entry library (inst : Netlist.instance) =
-  match Library.find library inst.Netlist.cell_name with
-  | Some e -> Some e
-  | None -> Library.find library (Netlist.base_cell_name inst.Netlist.cell_name)
-
-let resolve_entry_exn library inst =
-  match resolve_entry library inst with
+let resolve_entry library cell_name =
+  match Library.find library cell_name with
   | Some e -> e
-  | None ->
-    failwith
-      (Printf.sprintf "Timing.analyze: cell %s not in library %s"
-         inst.Netlist.cell_name (Library.lib_name library))
+  | None -> (
+    match Library.find library (Netlist.base_cell_name cell_name) with
+    | Some e -> e
+    | None ->
+      failwith
+        (Printf.sprintf "Timing: cell %s not in library %s" cell_name
+           (Library.lib_name library)))
 
+(* Connectivity, independent of the cells chosen.  Each instance's nets sit
+   in a small array of their own rather than in one flat array: a structure
+   lives for one check, and large short-lived blocks go straight to the
+   major heap, where under OCaml 5's GC pacing they raised signoff's peak
+   RSS by about a fifth. *)
 type structure = {
   comb_order : int array;       (* indices into netlist.instances *)
   ff_indices : int array;
+  is_ff : bool array;           (* per instance *)
+  nets : int array array;       (* per instance: inputs then outputs, in pin order *)
 }
 
 let prepare_structure (netlist : Netlist.t) =
+  let insts = netlist.Netlist.instances in
+  let is_ff, comb_order = Netlist.levelize netlist in
+  let nets =
+    Array.map
+      (fun (inst : Netlist.instance) ->
+        let n_in = List.length inst.Netlist.inputs in
+        let a = Array.make (n_in + List.length inst.Netlist.outputs) 0 in
+        List.iteri (fun k (_, net) -> a.(k) <- net) inst.Netlist.inputs;
+        List.iteri (fun k (_, net) -> a.(n_in + k) <- net) inst.Netlist.outputs;
+        a)
+      insts
+  in
   let ffs = ref [] in
-  for i = Array.length netlist.Netlist.instances - 1 downto 0 do
-    if Netlist.is_flipflop netlist.Netlist.instances.(i) then ffs := i :: !ffs
+  for i = Array.length insts - 1 downto 0 do
+    if is_ff.(i) then ffs := i :: !ffs
   done;
-  {
-    comb_order = Netlist.combinational_indices netlist;
-    ff_indices = Array.of_list !ffs;
-  }
+  { comb_order; ff_indices = Array.of_list !ffs; is_ff; nets }
 
-(* An instance's cell choice resolved against the library: the capacitance
-   of each input pin (in pin order) and the arcs it times, with their nets.
-   For a flip-flop the arcs are its CK->Q launches, one per output pin that
-   has one; for a combinational cell they are the entry's arcs, in library
-   order, whose pins are both connected. *)
-type arc_ref = {
-  arc : Library.arc;
-  from_pos : int;  (* input pin position; -1 for a launch *)
-  from_net : Netlist.net;
-  to_net : Netlist.net;
-}
-
-type inst_timing = {
+(* A cell resolved against the library for one pin layout, shared by every
+   instance of that cell in a pass: the capacitance of each input pin (in
+   pin order) and the arcs it times, with pins as positions so the
+   per-instance work only indexes nets.  For a flip-flop the arcs are its
+   CK->Q launches, one per output pin that has one; for a combinational
+   cell they are the entry's arcs, in library order, whose pins are both
+   connected. *)
+type cell_timing = {
+  entry : Library.entry;
+  in_pins : string list;  (* the pin layout it was resolved for *)
+  out_pins : string list;
   caps : float array;
-  arcs : arc_ref array;
+  arcs : Library.arc array;
+  from_pos : int array;  (* input pin position; -1 for a launch *)
+  to_pos : int array;    (* output pin position *)
 }
 
 (* Provenance packs an input pin position into four bits. *)
 let max_pins = 16
 
 let rec position pin i = function
-  | [] -> None
-  | (p, net) :: rest -> if p = pin then Some (i, net) else position pin (i + 1) rest
+  | [] -> -1
+  | (p, _) :: rest -> if p = pin then i else position pin (i + 1) rest
 
-let pin_cap (entry : Library.entry) (inst : Netlist.instance) pin =
-  match Library.input_cap entry pin with
-  | cap -> cap
-  | exception Library.Pin_not_found _ ->
-    failwith
-      (Printf.sprintf "Timing.analyze: %s (%s) has no pin %s in %s"
-         inst.Netlist.inst_name inst.Netlist.cell_name pin
-         entry.Library.indexed_name)
-
-let arcs_of ~is_ff (entry : Library.entry) (inst : Netlist.instance) =
-  Array.of_list
-    (if is_ff then
-       List.filter_map
-         (fun (pin, to_net) ->
-           Option.map
-             (fun arc -> { arc; from_pos = -1; from_net = -1; to_net })
-             (Library.arc_of entry ~from_pin:"CK" ~to_pin:pin))
-         inst.Netlist.outputs
-     else
-       List.filter_map
-         (fun (arc : Library.arc) ->
-           match
-             ( position arc.Library.from_pin 0 inst.Netlist.inputs,
-               List.assoc_opt arc.Library.to_pin inst.Netlist.outputs )
-           with
-           | Some (from_pos, _), Some _ when from_pos >= max_pins ->
-             failwith
-               (Printf.sprintf "Timing.analyze: %s has more than %d inputs"
-                  inst.Netlist.inst_name max_pins)
-           | Some (from_pos, from_net), Some to_net ->
-             Some { arc; from_pos; from_net; to_net }
-           | None, _ | _, None -> None)
-         entry.Library.arcs)
-
-let resolve ~library ~is_ff (inst : Netlist.instance) =
-  let entry = resolve_entry_exn library inst in
+let resolve_cell ~library ~is_ff (inst : Netlist.instance) =
+  let entry = resolve_entry library inst.Netlist.cell_name in
+  let caps =
+    List.map
+      (fun (pin, _) ->
+        match Library.input_cap entry pin with
+        | cap -> cap
+        | exception Library.Pin_not_found _ ->
+          failwith
+            (Printf.sprintf "Timing.analyze: %s (%s) has no pin %s in %s"
+               inst.Netlist.inst_name inst.Netlist.cell_name pin
+               entry.Library.indexed_name))
+      inst.Netlist.inputs
+  in
+  let timed =
+    if is_ff then
+      List.concat
+        (List.mapi
+           (fun to_pos (pin, _) ->
+             match Library.arc_of entry ~from_pin:"CK" ~to_pin:pin with
+             | Some arc -> [ (arc, -1, to_pos) ]
+             | None -> [])
+           inst.Netlist.outputs)
+    else
+      List.filter_map
+        (fun (arc : Library.arc) ->
+          match
+            ( position arc.Library.from_pin 0 inst.Netlist.inputs,
+              position arc.Library.to_pin 0 inst.Netlist.outputs )
+          with
+          | from_pos, to_pos when from_pos < 0 || to_pos < 0 -> None
+          | from_pos, _ when from_pos >= max_pins ->
+            failwith
+              (Printf.sprintf "Timing.analyze: %s has more than %d inputs"
+                 inst.Netlist.inst_name max_pins)
+          | from_pos, to_pos -> Some (arc, from_pos, to_pos))
+        entry.Library.arcs
+  in
   {
-    caps =
-      Array.of_list
-        (List.map (fun (pin, _) -> pin_cap entry inst pin) inst.Netlist.inputs);
-    arcs = arcs_of ~is_ff entry inst;
+    entry;
+    in_pins = List.map fst inst.Netlist.inputs;
+    out_pins = List.map fst inst.Netlist.outputs;
+    caps = Array.of_list caps;
+    arcs = Array.of_list (List.map (fun (arc, _, _) -> arc) timed);
+    from_pos = Array.of_list (List.map (fun (_, p, _) -> p) timed);
+    to_pos = Array.of_list (List.map (fun (_, _, p) -> p) timed);
   }
+
+let rec same_pins names pins =
+  match (names, pins) with
+  | [], [] -> true
+  | name :: names, (pin, _) :: pins ->
+    (name == pin || String.equal name pin) && same_pins names pins
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* Whether [c] times [inst]: the same cell name (hence the same flip-flop
+   kind) is assumed, the same pin layout is checked. *)
+let fits c (inst : Netlist.instance) =
+  same_pins c.in_pins inst.Netlist.inputs
+  && same_pins c.out_pins inst.Netlist.outputs
+
+(* Resolves every instance, once per distinct cell name and pin layout. *)
+let resolve_cells ~library structure insts =
+  let cells = Hashtbl.create 64 in
+  Array.mapi
+    (fun i (inst : Netlist.instance) ->
+      let is_ff = structure.is_ff.(i) in
+      match Hashtbl.find cells inst.Netlist.cell_name with
+      | c when fits c inst -> c
+      | _ -> resolve_cell ~library ~is_ff inst
+      | exception Not_found ->
+        let c = resolve_cell ~library ~is_ff inst in
+        Hashtbl.add cells inst.Netlist.cell_name c;
+        c)
+    insts
 
 (* The timing graph.  [analyze] builds one and evaluates every instance;
    an incremental timer owns one and re-evaluates only what a cell swap
    reaches.  Provenance is packed as (instance, input pin position, input
-   edge) = [(inst lsl 5) lor (pos lsl 1) lor edge], -1 at start points. *)
+   edge) = [(inst lsl 5) lor (pos lsl 1) lor edge], -1 at start points.
+   Edges are indexed 0 = rise, 1 = fall. *)
 type analysis = {
   structure : structure;
   base : Netlist.t;  (* connectivity and ports; cells are in [insts] *)
   library : Library.t;
   config : config;
   insts : Netlist.instance array;
+  cells : cell_timing array;   (* per instance *)
   loads : float array;
-  arr : float array array;     (* arr.(dir).(net); 0 = rise, 1 = fall *)
+  arr : float array array;     (* arr.(edge).(net) *)
   min_arr : float array array; (* earliest arrivals, for hold analysis *)
   slews : float array array;
   prov : int array array;
+  io : float array;  (* the NLDM query and its results, see [Nldm.lookup_pair] *)
+  (* Work since the last [flush], published to the metrics then. *)
+  mutable lookups : int;
+  mutable arcs_evaluated : int;
+  extrapolated : int array;  (* lookups, per side in [sides] order *)
   mutable netlist : Netlist.t option;  (* [insts] as a netlist, built on demand *)
   mutable endpoint_list : endpoint_timing list option;  (* sorted on demand *)
 }
+
+let flush t =
+  Metrics.incr ~by:t.lookups m_lookups;
+  Metrics.incr ~by:t.arcs_evaluated m_arcs;
+  Array.iteri
+    (fun k n -> if n > 0 then Metrics.incr ~by:n m_extrapolated.(k))
+    t.extrapolated;
+  t.lookups <- 0;
+  t.arcs_evaluated <- 0;
+  Array.fill t.extrapolated 0 (Array.length sides) 0
+
+(* Counts one lookup; [outside] is its 4-bit side mask. *)
+let count t outside =
+  t.lookups <- t.lookups + 1;
+  if outside land 15 <> 0 then
+    for k = 0 to Array.length sides - 1 do
+      if outside land sides.(k) <> 0 then
+        t.extrapolated.(k) <- t.extrapolated.(k) + 1
+    done
+
+(* Delay to [io.(2)] and output slew to [io.(3)] for the output edge
+   [edge], at the point already in [io]. *)
+let lookup (arc : Library.arc) edge io =
+  if edge = 0 then Nldm.lookup_pair arc.Library.delay_rise arc.Library.slew_rise io
+  else Nldm.lookup_pair arc.Library.delay_fall arc.Library.slew_fall io
 
 let pack_prov inst pos edge = (inst lsl 5) lor (pos lsl 1) lor edge
 
@@ -176,35 +255,36 @@ let reset t net =
   t.prov.(1).(net) <- -1
 
 (* Flip-flop Q nets launch at clk->q. *)
-let launch t (a : arc_ref) dir =
-  let i = dir_index dir in
-  let q = a.to_net in
-  let load = t.loads.(q) in
-  let delay = lookup_delay a.arc ~dir ~slew:t.config.clock_slew ~load in
-  let out_slew = lookup_out_slew a.arc ~dir ~slew:t.config.clock_slew ~load in
+let launch t arc q i =
+  let io = t.io in
+  io.(0) <- t.config.clock_slew;
+  io.(1) <- t.loads.(q);
+  let outside = lookup arc i io in
+  count t outside;
+  count t (outside lsr 4);
+  let delay = io.(2) in
   if delay > t.arr.(i).(q) then begin
     t.arr.(i).(q) <- delay;
-    t.slews.(i).(q) <- out_slew
+    t.slews.(i).(q) <- io.(3)
   end;
   if delay < t.min_arr.(i).(q) then t.min_arr.(i).(q) <- delay
 
-let propagate t inst (a : arc_ref) in_dir =
-  let ii = dir_index in_dir in
-  let in_net = a.from_net in
+let propagate t inst pos (arc : Library.arc) in_net out_net ii =
   let a_in = t.arr.(ii).(in_net) in
   if a_in > neg_infinity then begin
-    let out_dir = Library.out_direction a.arc ~in_dir in
-    let oi = dir_index out_dir in
-    let out_net = a.to_net in
-    let slew_in = t.slews.(ii).(in_net) in
-    let load = t.loads.(out_net) in
-    let delay = lookup_delay a.arc ~dir:out_dir ~slew:slew_in ~load in
+    let oi = match arc.Library.sense with Library.Positive -> ii | Library.Negative -> 1 - ii in
+    let io = t.io in
+    io.(0) <- t.slews.(ii).(in_net);
+    io.(1) <- t.loads.(out_net);
+    let outside = lookup arc oi io in
+    count t outside;
+    let delay = io.(2) in
     let a_out = a_in +. delay in
     if a_out > t.arr.(oi).(out_net) then begin
       t.arr.(oi).(out_net) <- a_out;
-      t.slews.(oi).(out_net) <-
-        lookup_out_slew a.arc ~dir:out_dir ~slew:slew_in ~load;
-      t.prov.(oi).(out_net) <- pack_prov inst a.from_pos ii
+      t.slews.(oi).(out_net) <- io.(3);
+      count t (outside lsr 4);
+      t.prov.(oi).(out_net) <- pack_prov inst pos ii
     end;
     let early_in = t.min_arr.(ii).(in_net) in
     if early_in < infinity then begin
@@ -214,23 +294,28 @@ let propagate t inst (a : arc_ref) in_dir =
   end
 
 (* The one propagation kernel: rebuilds instance [i]'s output nets from the
-   start state, arc by arc in library order, Rise before Fall. *)
-let eval t ~is_ff i (arcs : arc_ref array) =
-  List.iter (fun (_, net) -> reset t net) t.insts.(i).Netlist.outputs;
-  if is_ff then
-    Array.iter
-      (fun a ->
-        Metrics.incr m_arcs;
-        launch t a Library.Rise;
-        launch t a Library.Fall)
-      arcs
-  else
-    Array.iter
-      (fun a ->
-        Metrics.incr m_arcs;
-        propagate t i a Library.Rise;
-        propagate t i a Library.Fall)
-      arcs
+   start state, arc by arc in library order, rise before fall. *)
+let eval t i =
+  let nets = t.structure.nets.(i) and c = t.cells.(i) in
+  let outs = Array.length c.caps in
+  for k = outs to Array.length nets - 1 do
+    reset t nets.(k)
+  done;
+  let arcs = c.arcs in
+  for k = 0 to Array.length arcs - 1 do
+    let out_net = nets.(outs + c.to_pos.(k)) in
+    let pos = c.from_pos.(k) in
+    if pos < 0 then begin
+      launch t arcs.(k) out_net 0;
+      launch t arcs.(k) out_net 1
+    end
+    else begin
+      let in_net = nets.(pos) in
+      propagate t i pos arcs.(k) in_net out_net 0;
+      propagate t i pos arcs.(k) in_net out_net 1
+    end
+  done;
+  t.arcs_evaluated <- t.arcs_evaluated + Array.length arcs
 
 let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
   Span.with_ "sta.analyze"
@@ -240,17 +325,17 @@ let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
   let structure =
     match structure with Some s -> s | None -> prepare_structure netlist
   in
-  let entries = Array.map (resolve_entry_exn library) insts in
+  let cells = resolve_cells ~library structure insts in
   let n = netlist.Netlist.n_nets in
   let loads = Array.make n 0. in
   Array.iteri
-    (fun i (inst : Netlist.instance) ->
-      List.iter
-        (fun (pin, net) ->
-          loads.(net) <-
-            loads.(net) +. pin_cap entries.(i) inst pin +. config.wire_cap_per_fanout)
-        inst.Netlist.inputs)
-    insts;
+    (fun i c ->
+      let nets = structure.nets.(i) in
+      for k = 0 to Array.length c.caps - 1 do
+        let net = nets.(k) in
+        loads.(net) <- loads.(net) +. c.caps.(k) +. config.wire_cap_per_fanout
+      done)
+    cells;
   List.iter
     (fun (_, net) -> loads.(net) <- loads.(net) +. config.output_load)
     netlist.Netlist.output_ports;
@@ -261,11 +346,16 @@ let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
       library;
       config;
       insts;
+      cells;
       loads;
       arr = [| Array.make n neg_infinity; Array.make n neg_infinity |];
       min_arr = [| Array.make n infinity; Array.make n infinity |];
       slews = [| Array.make n config.input_slew; Array.make n config.input_slew |];
       prov = [| Array.make n (-1); Array.make n (-1) |];
+      io = Array.make 4 0.;
+      lookups = 0;
+      arcs_evaluated = 0;
+      extrapolated = Array.make (Array.length sides) 0;
       netlist = Some netlist;
       endpoint_list = None;
     }
@@ -278,13 +368,9 @@ let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
       t.min_arr.(0).(net) <- 0.;
       t.min_arr.(1).(net) <- 0.)
     netlist.Netlist.input_ports;
-  (* Arcs are resolved as each instance is evaluated and dropped after: a
-     full pass keeps no per-instance timing alive. *)
-  let eval_all ~is_ff =
-    Array.iter (fun i -> eval t ~is_ff i (arcs_of ~is_ff entries.(i) insts.(i)))
-  in
-  eval_all ~is_ff:true structure.ff_indices;
-  eval_all ~is_ff:false structure.comb_order;
+  Array.iter (eval t) structure.ff_indices;
+  Array.iter (eval t) structure.comb_order;
+  flush t;
   t
 
 let analyze ?(config = default_config) ?structure ~library
@@ -331,7 +417,7 @@ let hold_slacks t =
         if earliest = infinity then None
         else
           let hold =
-            hold_fraction *. (resolve_entry_exn t.library inst).Library.setup_time
+            hold_fraction *. t.cells.(i).entry.Library.setup_time
           in
           Some (inst.Netlist.inst_name, earliest -. hold))
     (Array.to_list t.structure.ff_indices)
@@ -365,7 +451,7 @@ let endpoints t =
                 endpoint = Flipflop_d (inst.Netlist.inst_name, dnet);
                 data_arrival;
                 direction;
-                setup = (resolve_entry_exn t.library inst).Library.setup_time;
+                setup = t.cells.(i).entry.Library.setup_time;
               })
             (flipflop_d t i))
         (Array.to_list t.structure.ff_indices)
@@ -414,7 +500,7 @@ module Incremental = struct
     | Cell of {
         inst : int;
         old : Netlist.instance;
-        timing : inst_timing;
+        cell : cell_timing;
         netlist : Netlist.t option;
         endpoints : endpoint_timing list option;
       }
@@ -423,10 +509,8 @@ module Incremental = struct
 
   type t = {
     a : analysis;
-    timing : inst_timing array;
     rank : int array;         (* instance -> evaluation position *)
     order : int array;        (* evaluation position -> instance *)
-    n_ffs : int;              (* positions below are flip-flops *)
     driver : int array;       (* net -> driving instance, or -1 *)
     reader_inst : int array array;  (* net -> readers, instance then pin order *)
     reader_pin : int array array;   (* net -> the readers' pin positions *)
@@ -440,43 +524,42 @@ module Incremental = struct
       full_pass ~config ~library
         ~insts:(Array.copy netlist.Netlist.instances) netlist
     in
+    let s = a.structure in
     let n = Array.length a.insts and n_nets = netlist.Netlist.n_nets in
-    let order = Array.append a.structure.ff_indices a.structure.comb_order in
+    let order = Array.append s.ff_indices s.comb_order in
     let rank = Array.make n (-1) in
     Array.iteri (fun r i -> rank.(i) <- r) order;
-    let n_ffs = Array.length a.structure.ff_indices in
-    let timing =
-      Array.mapi (fun i inst -> resolve ~library ~is_ff:(rank.(i) < n_ffs) inst) a.insts
-    in
     let driver = Array.make n_nets (-1) in
     let fanout = Array.make n_nets 0 in
-    Array.iteri
-      (fun i (inst : Netlist.instance) ->
-        List.iter (fun (_, net) -> driver.(net) <- i) inst.Netlist.outputs;
-        List.iter (fun (_, net) -> fanout.(net) <- fanout.(net) + 1) inst.Netlist.inputs)
-      a.insts;
+    let n_inputs i = Array.length a.cells.(i).caps in
+    for i = 0 to n - 1 do
+      for k = n_inputs i to Array.length s.nets.(i) - 1 do
+        driver.(s.nets.(i).(k)) <- i
+      done
+    done;
+    let iter_inputs f =
+      for i = 0 to n - 1 do
+        for k = 0 to n_inputs i - 1 do
+          f i k s.nets.(i).(k)
+        done
+      done
+    in
+    iter_inputs (fun _ _ net -> fanout.(net) <- fanout.(net) + 1);
     let reader_inst = Array.map (fun k -> Array.make k 0) fanout in
     let reader_pin = Array.map (fun k -> Array.make k 0) fanout in
     Array.fill fanout 0 n_nets 0;
-    Array.iteri
-      (fun i (inst : Netlist.instance) ->
-        List.iteri
-          (fun k (_, net) ->
-            reader_inst.(net).(fanout.(net)) <- i;
-            reader_pin.(net).(fanout.(net)) <- k;
-            fanout.(net) <- fanout.(net) + 1)
-          inst.Netlist.inputs)
-      a.insts;
+    iter_inputs (fun i pos net ->
+        reader_inst.(net).(fanout.(net)) <- i;
+        reader_pin.(net).(fanout.(net)) <- pos;
+        fanout.(net) <- fanout.(net) + 1);
     let port_loads = Array.make n_nets 0 in
     List.iter
       (fun (_, net) -> port_loads.(net) <- port_loads.(net) + 1)
       netlist.Netlist.output_ports;
     {
       a;
-      timing;
       rank;
       order;
-      n_ffs;
       driver;
       reader_inst;
       reader_pin;
@@ -498,7 +581,7 @@ module Incremental = struct
     let load = ref 0. in
     for k = 0 to Array.length insts - 1 do
       load :=
-        !load +. t.timing.(insts.(k)).caps.(pins.(k))
+        !load +. a.cells.(insts.(k)).caps.(pins.(k))
         +. a.config.wire_cap_per_fanout
     done;
     for _ = 1 to t.port_loads.(net) do
@@ -552,15 +635,19 @@ module Incremental = struct
       t.queue <- Positions.remove r t.queue;
       let i = t.order.(r) in
       let a = t.a in
-      let saved = List.map (fun (_, net) -> save a net) a.insts.(i).Netlist.outputs in
+      let s = a.structure in
+      let nets = s.nets.(i) and outs = Array.length a.cells.(i).caps in
+      let saved =
+        List.init (Array.length nets - outs) (fun k -> save a nets.(outs + k))
+      in
       List.iter (fun s -> t.journal <- Net s :: t.journal) saved;
-      eval a ~is_ff:(t.rank.(i) < t.n_ffs) i t.timing.(i).arcs;
+      eval a i;
       List.iter
-        (fun s ->
-          if not (unchanged a s) then
+        (fun saved ->
+          if not (unchanged a saved) then
             Array.iter
-              (fun reader -> if t.rank.(reader) >= t.n_ffs then enqueue t reader)
-              t.reader_inst.(s.net))
+              (fun reader -> if not s.is_ff.(reader) then enqueue t reader)
+              t.reader_inst.(saved.net))
         saved;
       drain t
     end
@@ -570,19 +657,21 @@ module Incremental = struct
     let a = t.a in
     let old = a.insts.(i) in
     let inst = { old with Netlist.cell_name = cell } in
-    let timing = resolve ~library:a.library ~is_ff:(t.rank.(i) < t.n_ffs) inst in
+    let timing =
+      resolve_cell ~library:a.library ~is_ff:a.structure.is_ff.(i) inst
+    in
     t.journal <-
       Cell
         {
           inst = i;
           old;
-          timing = t.timing.(i);
+          cell = a.cells.(i);
           netlist = a.netlist;
           endpoints = a.endpoint_list;
         }
       :: t.journal;
     a.insts.(i) <- inst;
-    t.timing.(i) <- timing;
+    a.cells.(i) <- timing;
     a.netlist <- None;
     a.endpoint_list <- None;
     List.iter
@@ -595,7 +684,8 @@ module Incremental = struct
         end)
       inst.Netlist.inputs;
     enqueue t i;
-    drain t
+    drain t;
+    flush a
 
   let rollback t =
     Metrics.incr m_updates;
@@ -604,7 +694,7 @@ module Incremental = struct
       (function
         | Cell c ->
           a.insts.(c.inst) <- c.old;
-          t.timing.(c.inst) <- c.timing;
+          a.cells.(c.inst) <- c.cell;
           a.netlist <- c.netlist;
           a.endpoint_list <- c.endpoints
         | Load (net, load) -> a.loads.(net) <- load

@@ -18,13 +18,21 @@ type config = {
 
 val default_config : config
 
+val resolve_entry :
+  Aging_liberty.Library.t -> string -> Aging_liberty.Library.entry
+(** [resolve_entry library cell_name] is the library entry timing an
+    instance of [cell_name]: the entry of that exact name (a corner-indexed
+    name in a complete library), else the entry of its base name.
+    @raise Failure naming the cell and the library if neither exists. *)
+
 type analysis
 (** Result of one timing pass over a netlist. *)
 
 type structure
-(** Topology of a netlist (combinational order, flip-flop list, by instance
-    index) that is independent of cell selection: reusable across
-    re-timings of drive-swapped variants of the same netlist. *)
+(** Topology of a netlist (combinational order, flip-flop list and each
+    instance's pin nets, by instance index) that is independent of cell
+    selection: reusable across re-timings of drive-swapped or renamed
+    variants of the same netlist, and across libraries. *)
 
 val prepare_structure : Aging_netlist.Netlist.t -> structure
 
@@ -35,7 +43,8 @@ val analyze :
 (** Times the netlist against the library.  Instance cell names are resolved
     first as-is (supporting corner-indexed names in a complete library) and
     then by base name.  A [structure] from a netlist with identical
-    connectivity (e.g. before a cell swap) skips the topological sort.
+    connectivity and pin order (e.g. before a cell swap, or before
+    corner-indexing its cell names) skips the topological sort.
     @raise Failure if a cell cannot be resolved in the library. *)
 
 val netlist : analysis -> Aging_netlist.Netlist.t

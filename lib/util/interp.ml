@@ -28,15 +28,3 @@ let linear xs ys x =
   let x0 = xs.(i) and x1 = xs.(i + 1) in
   let t = (x -. x0) /. (x1 -. x0) in
   ys.(i) +. (t *. (ys.(i + 1) -. ys.(i)))
-
-let bilinear ~rows ~cols z r c =
-  let i = bracket rows r and j = bracket cols c in
-  let r0 = rows.(i) and r1 = rows.(i + 1) in
-  let c0 = cols.(j) and c1 = cols.(j + 1) in
-  let tr = (r -. r0) /. (r1 -. r0) in
-  let tc = (c -. c0) /. (c1 -. c0) in
-  let z00 = z.(i).(j) and z01 = z.(i).(j + 1) in
-  let z10 = z.(i + 1).(j) and z11 = z.(i + 1).(j + 1) in
-  let lo = z00 +. (tc *. (z01 -. z00)) in
-  let hi = z10 +. (tc *. (z11 -. z10)) in
-  lo +. (tr *. (hi -. lo))

@@ -1,10 +1,8 @@
-(** Piecewise-linear interpolation on monotone grids.
-
-    These are the lookup primitives behind NLDM delay/slew tables: 1-D linear
-    interpolation and 2-D bilinear interpolation over rectangular grids with
-    strictly increasing axes.  Queries outside the grid are linearly
-    extrapolated from the outermost segment, matching the behaviour of
-    industrial timing tools on out-of-range slew/load values. *)
+(** Piecewise-linear interpolation on monotone grids: 1-D linear
+    interpolation over a strictly increasing axis.  Queries outside the
+    grid are linearly extrapolated from the outermost segment, matching the
+    behaviour of industrial timing tools on out-of-range slew/load values.
+    The 2-D bilinear lookup of NLDM tables is {!Aging_liberty.Nldm.lookup}. *)
 
 val bracket : float array -> float -> int
 (** [bracket axis x] returns the index [i] such that the segment
@@ -16,13 +14,6 @@ val bracket : float array -> float -> int
 val linear : float array -> float array -> float -> float
 (** [linear xs ys x] interpolates [ys] over grid [xs] at [x], extrapolating
     linearly beyond the ends.  [Array.length xs = Array.length ys >= 2]. *)
-
-val bilinear :
-  rows:float array -> cols:float array -> float array array ->
-  float -> float -> float
-(** [bilinear ~rows ~cols z r c] bilinearly interpolates the matrix [z]
-    (indexed [z.(row).(col)]) at coordinates [(r, c)], extrapolating beyond
-    the grid edges. *)
 
 val monotone_increasing : float array -> bool
 (** [monotone_increasing a] is [true] iff [a] is strictly increasing. *)

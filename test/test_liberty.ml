@@ -380,10 +380,88 @@ let prop_lookup_within_table_bounds =
       d >= Nldm.min_value arc.Library.delay_fall -. 1e-12
       && d <= Nldm.max_value arc.Library.delay_fall +. 1e-12)
 
+(* The bilinear formula that lived in [Interp] before [Nldm] took it over,
+   kept as the reference every lookup must match bit for bit. *)
+let reference_bilinear ~rows ~cols z r c =
+  let i = Aging_util.Interp.bracket rows r and j = Aging_util.Interp.bracket cols c in
+  let r0 = rows.(i) and r1 = rows.(i + 1) in
+  let c0 = cols.(j) and c1 = cols.(j + 1) in
+  let tr = (r -. r0) /. (r1 -. r0) in
+  let tc = (c -. c0) /. (c1 -. c0) in
+  let z00 = z.(i).(j) and z01 = z.(i).(j + 1) in
+  let z10 = z.(i + 1).(j) and z11 = z.(i + 1).(j + 1) in
+  let lo = z00 +. (tc *. (z01 -. z00)) in
+  let hi = z10 +. (tc *. (z11 -. z10)) in
+  lo +. (tr *. (hi -. lo))
+
+(* A strictly increasing, non-uniform axis of 2-9 points. *)
+let axis_gen =
+  QCheck2.Gen.(
+    map
+      (fun (x0, steps) ->
+        Array.of_list
+          (List.rev
+             (List.fold_left (fun acc d -> (List.hd acc +. d) :: acc) [ x0 ] steps)))
+      (pair (float_range (-1.) 1.) (list_size (int_range 1 8) (float_range 0.01 2.))))
+
+(* Probe coordinates: every grid point, cell interiors and points off the
+   grid on both sides of the axis. *)
+let probes axis =
+  let n = Array.length axis in
+  let lo = axis.(0) and hi = axis.(n - 1) in
+  Array.to_list axis
+  @ List.init (n - 1) (fun i -> (axis.(i) +. axis.(i + 1)) /. 2.)
+  @ [ lo -. 0.37; lo -. 3.1; hi +. 0.41; hi +. 2.9 ]
+
+let prop_lookup_matches_reference =
+  Fixtures.qtest "lookup bit-identical to the reference bilinear"
+    QCheck2.Gen.(triple axis_gen axis_gen (int_range 0 1_000_000))
+    (fun (slews, loads, seed) ->
+      let rng = Aging_util.Rng.create (Int64.of_int seed) in
+      let values () =
+        Array.map (fun _ -> Array.map (fun _ -> Aging_util.Rng.float rng -. 0.3) loads) slews
+      in
+      let delay = Nldm.make ~slews ~loads ~values:(values ()) in
+      let slew = Nldm.make ~slews ~loads ~values:(values ()) in
+      (* The same table on copied axes takes [lookup_pair]'s general path. *)
+      let slew' =
+        Nldm.make ~slews:(Array.copy slews) ~loads:(Array.copy loads)
+          ~values:slew.Nldm.values
+      in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun r ->
+          List.for_all
+            (fun c ->
+              let v = Nldm.lookup delay ~slew:r ~load:c in
+              let io = [| r; c; 0.; 0. |] and io' = [| r; c; 0.; 0. |] in
+              let sides = Nldm.lookup_pair delay slew io in
+              let sides' = Nldm.lookup_pair delay slew' io' in
+              bits v = bits (reference_bilinear ~rows:slews ~cols:loads delay.Nldm.values r c)
+              && bits io.(2) = bits v
+              && bits io.(3) = bits (Nldm.lookup slew ~slew:r ~load:c)
+              && bits io'.(2) = bits v
+              && bits io'.(3) = bits io.(3)
+              && sides' = sides)
+            (probes loads))
+        (probes slews))
+
+let test_lookup_pair_sides () =
+  let t = Nldm.make ~slews:[| 1.; 2. |] ~loads:[| 10.; 20. |] ~values:[| [| 0.; 1. |]; [| 2.; 3. |] |] in
+  let sides r c = Nldm.lookup_pair t t [| r; c; 0.; 0. |] land 15 in
+  Alcotest.(check int) "inside" 0 (sides 1.5 15.);
+  Alcotest.(check int) "on the grid edge" 0 (sides 1. 20.);
+  Alcotest.(check int) "slew below" Nldm.slew_low (sides 0.5 15.);
+  Alcotest.(check int) "slew above, load below" (Nldm.slew_high lor Nldm.load_low) (sides 3. 5.);
+  Alcotest.(check int) "load above" Nldm.load_high (sides 1.5 25.);
+  Alcotest.(check int) "same bits for the slew table" (sides 3. 5.)
+    ((Nldm.lookup_pair t t [| 3.; 5.; 0.; 0. |]) lsr 4)
+
 let suite =
   [
     ("nldm: validation", `Quick, test_nldm_make_validation);
     ("nldm: lookup", `Quick, test_nldm_lookup);
+    ("nldm: lookup_pair extrapolation sides", `Quick, test_lookup_pair_sides);
     ("nldm: map/fold", `Quick, test_nldm_map_fold);
     ("axes: paper grids", `Quick, test_axes);
     ("characterize: inverter", `Quick, test_characterized_inverter);
@@ -405,4 +483,4 @@ let suite =
     ("library: descriptive lookup errors", `Quick, test_descriptive_lookup_errors);
   ]
 
-let props = [ prop_lookup_within_table_bounds ]
+let props = [ prop_lookup_within_table_bounds; prop_lookup_matches_reference ]

@@ -294,9 +294,32 @@ let prop_arrival_dominates_stages =
       in
       Float.abs (total -. cp.Paths.total) < 1e-13)
 
+(* One full pass over the DSP design on the test library.  Libraries are
+   compiled with [-opaque], so every float crossing a module boundary is
+   boxed; the STA kernel keeps floats in arrays to stay allocation-free,
+   and this bound (about twice the measured words per instance) catches a
+   change that brings the boxing back.  The work counters must keep the
+   totals the pass has always had. *)
+let test_full_pass_allocation_and_work () =
+  let nl = Designs.dsp () in
+  let library = fresh () in
+  let structure = Timing.prepare_structure nl in
+  ignore (Timing.analyze ~structure ~library nl);
+  let counter name = Option.value ~default:0. (Aging_obs.Metrics.value_by_name name) in
+  let lookups = counter "sta.lookups" and arcs = counter "sta.arcs_evaluated" in
+  let words = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Timing.analyze ~structure ~library nl));
+  let per_inst =
+    (Gc.minor_words () -. words) /. float_of_int (Array.length nl.N.instances)
+  in
+  if per_inst > 5. then Alcotest.failf "%.1f minor words per instance" per_inst;
+  Alcotest.(check (float 0.)) "lookups per pass" 4760. (counter "sta.lookups" -. lookups);
+  Alcotest.(check (float 0.)) "arcs per pass" 1481. (counter "sta.arcs_evaluated" -. arcs)
+
 let suite =
   [
     ("sta: inverter chain", `Quick, test_chain_analysis);
+    ("sta: full pass allocation and work", `Quick, test_full_pass_allocation_and_work);
     ("sta: depth monotone", `Quick, test_longer_chain_slower);
     ("sta: aged library slower", `Quick, test_aged_slower);
     ("sta: output load config", `Quick, test_output_load_config);

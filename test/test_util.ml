@@ -28,13 +28,17 @@ let test_bracket () =
   Alcotest.check_raises "too short" (Invalid_argument "Interp.bracket: axis needs >= 2 points")
     (fun () -> ignore (Interp.bracket [| 1. |] 0.))
 
+(* The 2-D bilinear lookup is [Nldm.lookup]. *)
+let bilinear ~rows ~cols z r c =
+  Aging_liberty.Nldm.(lookup (make ~slews:rows ~loads:cols ~values:z)) ~slew:r ~load:c
+
 let test_bilinear () =
   let rows = [| 0.; 1. |] and cols = [| 0.; 2. |] in
   let z = [| [| 0.; 2. |]; [| 4.; 6. |] |] in
-  check "corner" 0. (Interp.bilinear ~rows ~cols z 0. 0.);
-  check "corner" 6. (Interp.bilinear ~rows ~cols z 1. 2.);
-  check "center" 3. (Interp.bilinear ~rows ~cols z 0.5 1.);
-  check "edge midpoint" 1. (Interp.bilinear ~rows ~cols z 0. 1.)
+  check "corner" 0. (bilinear ~rows ~cols z 0. 0.);
+  check "corner" 6. (bilinear ~rows ~cols z 1. 2.);
+  check "center" 3. (bilinear ~rows ~cols z 0.5 1.);
+  check "edge midpoint" 1. (bilinear ~rows ~cols z 0. 1.)
 
 let test_monotone () =
   Alcotest.(check bool) "increasing" true (Interp.monotone_increasing xs);
@@ -54,7 +58,7 @@ let prop_bilinear_bounded =
   Fixtures.qtest "bilinear within value bounds inside grid"
     QCheck2.Gen.(pair (float_range 0. 2.) (float_range 0. 1.))
     (fun (r, c) ->
-      let v = Interp.bilinear ~rows ~cols z r c in
+      let v = bilinear ~rows ~cols z r c in
       v >= 0. -. 1e-9 && v <= 7. +. 1e-9)
 
 let test_stats_basic () =
