@@ -164,7 +164,7 @@ let bench_json ~mode =
     List.filter_map
       (function
         | name, Metrics.Counter_value n -> Some (name, Json.Int n)
-        | _, (Metrics.Gauge_value _ | Metrics.Histogram_value _) -> None)
+        | _, Metrics.Gauge_value _ -> None)
       (Metrics.snapshot ())
   in
   Json.Obj

@@ -655,15 +655,7 @@ let obs_report_cmd =
     (match r.Run_ledger.spans with
      | [] -> print_string "\nno spans recorded\n"
      | spans ->
-       let percentile name q =
-         Option.bind
-           (Obs.Json.member ("span." ^ name) r.Run_ledger.metrics)
-           (fun entry ->
-             Option.map
-               (fun buckets -> Obs.Metrics.percentile_of_buckets buckets q)
-               (Obs.Metrics.buckets_of_json entry))
-       in
-       let rows = Obs.Profile.of_spans ~percentile spans in
+       let rows = Obs.Profile.of_spans spans in
        print_newline ();
        print_string (Obs.Profile.to_table ~top rows);
        Printf.printf "self-time total %.6f s over %d root span(s) (%.6f s)\n"

@@ -1,5 +1,6 @@
 module Rng = Aging_util.Rng
 module Stats = Aging_util.Stats
+module Span = Aging_obs.Span
 module Tree = QCheck2.Tree
 
 type 'a property = 'a -> (unit, string) result
@@ -57,13 +58,13 @@ let generate_tree ~seed gen =
 let generate ~seed gen = Tree.root (generate_tree ~seed gen)
 
 let run ?(cases = 100) ?(max_shrinks = 500) ~seed ~name ~print ~gen prop =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Span.elapsed () in
   let case_s = ref [] in
   let failures = ref [] in
   let i = ref 0 in
   while !i < cases && !failures = [] do
     let case_seed = Rng.derive seed !i in
-    let c0 = Unix.gettimeofday () in
+    let c0 = Span.elapsed () in
     let tree = generate_tree ~seed:case_seed gen in
     (match eval prop (Tree.root tree) with
     | None -> ()
@@ -79,14 +80,14 @@ let run ?(cases = 100) ?(max_shrinks = 500) ~seed ~name ~print ~gen prop =
             message = min_msg;
           };
         ]);
-    case_s := (Unix.gettimeofday () -. c0) :: !case_s;
+    case_s := (Span.elapsed () -. c0) :: !case_s;
     incr i
   done;
   {
     name;
     cases_run = !i;
     failures = !failures;
-    wall_s = Unix.gettimeofday () -. t0;
+    wall_s = Span.elapsed () -. t0;
     case_s = List.rev !case_s;
   }
 

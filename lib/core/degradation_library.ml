@@ -9,16 +9,12 @@ module Cell = Aging_cells.Cell
 module Metrics = Aging_obs.Metrics
 module Span = Aging_obs.Span
 module Log = Aging_obs.Log
-module Lru = Aging_util.Lru
 
 let m_memo_hit = Metrics.counter "cache.memo_hit"
 let m_memo_miss = Metrics.counter "cache.memo_miss"
-let m_evict = Metrics.counter "cache.memo_evict"
 let m_disk_hit = Metrics.counter "cache.disk_hit"
 let m_build = Metrics.counter "cache.build"
 let m_corrupt = Metrics.counter "cache.corrupt"
-
-let memo_cap = 256
 
 type t = {
   backend : Characterize.backend;
@@ -27,13 +23,10 @@ type t = {
   years : float;
   cache_dir : string option;
   jobs : int;
-  memo : (string, Library.t) Lru.t;
-      (* Bounded: a long sweep (the guardband-monotone oracle, a full
-         corner grid) visits many corners, and each characterized library
-         is megabytes of NLDM tables.  Keys are
-         the exact-lambda cache keys of [key], so eviction never aliases
-         corners; an evicted library falls back to the disk cache (if
-         configured) or a rebuild. *)
+  memo : (string, Library.t) Hashtbl.t;
+      (* Keyed by the exact-lambda cache keys of [key].  Unbounded: a
+         paper flow asks one manager for at most the 121 corners of
+         [Scenario.grid]. *)
   fingerprint : string;
   reports : (string * Characterize.report) list ref;
   lock : Mutex.t;
@@ -92,13 +85,12 @@ let create ?(backend = Characterize.default_backend) ?cells ?(axes = Axes.paper)
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
   { backend; cells; axes; years; cache_dir; jobs = max 1 jobs;
-    memo = Lru.create ~cap:memo_cap; fingerprint; reports = ref [];
+    memo = Hashtbl.create 16; fingerprint; reports = ref [];
     lock = Mutex.create () }
 
 let axes t = t.axes
 let years t = t.years
 let fingerprint t = t.fingerprint
-let memo_length t = Mutex.protect t.lock (fun () -> Lru.length t.memo)
 
 let mode_tag = function Degradation.Full -> "full" | Degradation.Vth_only -> "vth"
 
@@ -159,7 +151,7 @@ let save_cache_file dir name lib =
    behind it.  Two domains racing on the {e same} key would both build and
    one insert would win — harmless, since the results are identical. *)
 let cached t name build =
-  match Mutex.protect t.lock (fun () -> Lru.find t.memo name) with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.memo name) with
   | Some lib ->
     Metrics.incr m_memo_hit;
     lib
@@ -185,13 +177,7 @@ let cached t name build =
         Option.iter (fun dir -> save_cache_file dir name lib) t.cache_dir;
         lib
     in
-    Mutex.protect t.lock (fun () ->
-        match Lru.put t.memo name lib with
-        | None -> ()
-        | Some (evicted, _) ->
-          Metrics.incr m_evict;
-          Log.debugf "core.cache" "memo full (cap %d): evicted %s"
-            (Lru.cap t.memo) evicted);
+    Mutex.protect t.lock (fun () -> Hashtbl.replace t.memo name lib);
     lib
 
 let build_with_report t ~name ~scenario () =

@@ -24,22 +24,12 @@ val create :
     nested ("a/b/c"); missing parent directories are created on the first
     write.
 
-    The in-memory library memo is an LRU of {!memo_cap} libraries keyed
-    by the exact-lambda cache keys — a sweep over many corners must not
-    grow without limit.  Eviction is safe:
-    an evicted corner is re-served from the disk cache when [cache_dir]
-    is set, or re-characterized.  Hits, misses and evictions land in
-    the metrics registry as [cache.memo_hit] / [cache.memo_miss] /
-    [cache.memo_evict]. *)
+    The in-memory library memo keeps every library the manager has
+    served, keyed by the exact-lambda cache keys.  Hits and misses land
+    in the metrics registry as [cache.memo_hit] / [cache.memo_miss]. *)
 
 val axes : t -> Aging_liberty.Axes.t
 val years : t -> float
-
-val memo_cap : int
-(** Capacity of every manager's library memo: 256. *)
-
-val memo_length : t -> int
-(** Number of libraries currently memoized (always [<= memo_cap]). *)
 
 val fingerprint : t -> string
 (** The configuration fingerprint embedded in every cache key: a digest of

@@ -12,7 +12,6 @@ type estimate = {
 
 val static :
   ?mode:Aging_physics.Degradation.mode ->
-  ?config:Aging_sta.Timing.config ->
   deglib:Degradation_library.t ->
   corner:Aging_physics.Scenario.corner ->
   Aging_netlist.Netlist.t ->
@@ -22,7 +21,6 @@ val static :
     degradation (Fig. 5a). *)
 
 val single_opc :
-  ?config:Aging_sta.Timing.config ->
   deglib:Degradation_library.t ->
   corner:Aging_physics.Scenario.corner ->
   Aging_netlist.Netlist.t ->
@@ -31,7 +29,6 @@ val single_opc :
     ratio per cell. *)
 
 val initial_cp_only :
-  ?config:Aging_sta.Timing.config ->
   deglib:Degradation_library.t ->
   corner:Aging_physics.Scenario.corner ->
   Aging_netlist.Netlist.t ->
@@ -41,7 +38,6 @@ val initial_cp_only :
     is the re-timed delay of the fresh critical path. *)
 
 val dynamic :
-  ?config:Aging_sta.Timing.config ->
   ?cycles:int ->
   deglib:Degradation_library.t ->
   stimulus:(int -> (string * bool) list) ->

@@ -381,7 +381,7 @@ let measure_grid backend ~(stats : arc_stats) ~(axes : Axes.t) ~base_circuit
   let ns = Array.length axes.Axes.slews and nl = Array.length axes.Axes.loads in
   let delays = Array.make_matrix ns nl 0. in
   let slews_out = Array.make_matrix ns nl 0. in
-  let t_grid = Span.now () in
+  let t_grid = Span.elapsed () in
   (* Warm-start chain: each point seeds the next one's DC settle with the
      operating point of the last successful measurement.  The chain runs
      inside this (arc, dir) work unit, which is always sequential, so the
@@ -423,7 +423,7 @@ let measure_grid backend ~(stats : arc_stats) ~(axes : Axes.t) ~base_circuit
       slews_out.(i).(j) <- s
     done
   done;
-  stats.grid_seconds <- stats.grid_seconds +. (Span.now () -. t_grid);
+  stats.grid_seconds <- stats.grid_seconds +. (Span.elapsed () -. t_grid);
   if stats.retried > 0 then
     Log.debugf "characterize" "%s %s->%s %s: %d measured, %d retried"
       stats.stat_cell stats.stat_from stats.stat_to (dir_label stats.stat_dir)

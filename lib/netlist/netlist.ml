@@ -291,8 +291,7 @@ type compiled = {
   ff_d : int array;  (* D net per flip-flop *)
 }
 
-let compile t =
-  let order = combinational_indices t in
+let compile_levelized t (ff, order) =
   let step f = Array.map (fun idx -> f t.instances.(idx)) order in
   let tables = step (fun inst -> (catalog_cell inst).Cell.table) in
   let step_inputs = step (fun inst -> Array.of_list (List.map snd inst.inputs)) in
@@ -300,7 +299,7 @@ let compile t =
   let port_index = Hashtbl.create 64 in
   List.iteri (fun i (port, _) -> Hashtbl.add port_index port i) t.input_ports;
   let port_net = Array.of_list (List.map snd t.input_ports) in
-  let ffs = flipflops t in
+  let ffs = List.filteri (fun i _ -> ff.(i)) (Array.to_list t.instances) in
   let ff_q =
     Array.of_list
       (List.map
@@ -331,6 +330,8 @@ let compile t =
     ff_q;
     ff_d;
   }
+
+let compile t = compile_levelized t (levelize t)
 
 let compiled_net_values c state ~inputs =
   let values = Array.make c.netlist.n_nets false in

@@ -144,6 +144,10 @@ type compiled = private {
 
 val compile : t -> compiled
 
+val compile_levelized : t -> bool array * int array -> compiled
+(** {!compile} from a {!levelize} result of the same netlist, for callers
+    that already levelized it. *)
+
 val compiled_cycle :
   compiled -> state -> inputs:(string * bool) list ->
   (string * bool) list * state

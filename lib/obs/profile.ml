@@ -7,6 +7,7 @@
    profile's sanity check: "self" columns account for all recorded time,
    with no double counting. *)
 
+module Stats = Aging_util.Stats
 module Tablefmt = Aging_util.Tablefmt
 
 type row = {
@@ -14,19 +15,19 @@ type row = {
   count : int;
   total_s : float;  (* inclusive *)
   self_s : float;
-  p50_s : float option;
-  p95_s : float option;
+  p50_s : float;
+  p95_s : float;
 }
 
-let of_spans ?percentile roots =
-  let acc : (string, int ref * float ref * float ref) Hashtbl.t =
+let of_spans roots =
+  let acc : (string, float list ref * float ref) Hashtbl.t =
     Hashtbl.create 32
   in
   let cell name =
     match Hashtbl.find_opt acc name with
     | Some c -> c
     | None ->
-      let c = (ref 0, ref 0., ref 0.) in
+      let c = (ref [], ref 0.) in
       Hashtbl.add acc name c;
       c
   in
@@ -35,25 +36,22 @@ let of_spans ?percentile roots =
       List.fold_left (fun t (c : Span.t) -> t +. c.Span.duration) 0.
         s.Span.children
     in
-    let count, total, self = cell s.Span.name in
-    incr count;
-    total := !total +. s.Span.duration;
+    let durations, self = cell s.Span.name in
+    durations := s.Span.duration :: !durations;
     self := !self +. (s.Span.duration -. children_total);
     List.iter walk s.Span.children
   in
   List.iter walk roots;
-  let q name p =
-    match percentile with None -> None | Some f -> f name p
-  in
   Hashtbl.fold
-    (fun name (count, total, self) rows ->
+    (fun name (durations, self) rows ->
+      let ds = List.rev !durations in
       {
         name;
-        count = !count;
-        total_s = !total;
+        count = List.length ds;
+        total_s = List.fold_left ( +. ) 0. ds;
         self_s = !self;
-        p50_s = q name 0.5;
-        p95_s = q name 0.95;
+        p50_s = Stats.percentile 50. ds;
+        p95_s = Stats.percentile 95. ds;
       }
       :: rows)
     acc []
@@ -87,8 +85,8 @@ let to_table ?(top = 0) rows =
           (if all_self <> 0. then
              Tablefmt.fs "%.1f" (r.self_s /. all_self *. 100.)
            else "-");
-          (match r.p50_s with Some v -> seconds v | None -> "-");
-          (match r.p95_s with Some v -> seconds v | None -> "-");
+          seconds r.p50_s;
+          seconds r.p95_s;
         ])
       shown
   in

@@ -3,24 +3,21 @@
     One row per distinct span name: call count, total (inclusive) time,
     self time (inclusive minus direct children — unclamped, so self times
     telescope and their sum over a tree equals the root's duration
-    exactly), and optional p50/p95 supplied by a percentile source
-    (typically {!Metrics.approx_percentile} over the ["span.<name>"]
-    histogram, or {!Metrics.percentile_of_buckets} over a stored
-    snapshot). *)
+    exactly), and the p50/p95 of the name's durations. *)
 
 type row = {
   name : string;
   count : int;
   total_s : float;  (** inclusive seconds *)
   self_s : float;   (** exclusive seconds (can be marginally negative) *)
-  p50_s : float option;
-  p95_s : float option;
+  p50_s : float;    (** {!Aging_util.Stats.percentile} 50 of the durations *)
+  p95_s : float;    (** {!Aging_util.Stats.percentile} 95 of the durations *)
 }
 
-val of_spans :
-  ?percentile:(string -> float -> float option) -> Span.t list -> row list
+val of_spans : Span.t list -> row list
 (** Aggregate the given trees; rows sorted by self time, largest first.
-    [percentile name q] supplies the quantile columns. *)
+    The percentiles are exact: they interpolate between the recorded
+    durations, so neither exceeds the largest one. *)
 
 val total_self : row list -> float
 (** Sum of self times — equals {!total_roots} of the profiled trees. *)

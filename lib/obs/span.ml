@@ -70,10 +70,6 @@ let with_ ?(attrs = []) name f =
     in
     stack := pop !stack;
     let duration = elapsed () -. m0 in
-    Metrics.observe (Metrics.histogram ("span." ^ name)) duration;
-    (match outcome with
-    | Raised _ -> Metrics.incr (Metrics.counter ("span." ^ name ^ ".errors"))
-    | Completed -> ());
     if Atomic.get recording_on then begin
       let span =
         {

@@ -6,18 +6,15 @@
     (outcome [Raised]) before re-raising, so the span stack can never be
     left unbalanced.
 
-    Two products come out of every span, at different costs:
-
-    - Always: the duration is observed into the metrics histogram
-      ["span.<name>"] (and a raise bumps ["span.<name>.errors"]).  This is
-      cheap — two clock reads and a hashtable lookup — so instrumenting hot
-      paths is fine.
-    - When {!set_recording} is on: the full span tree (name, attributes,
-      start time, duration, outcome, children) is kept for export via
-      {!roots} / {!span_to_json}.  Recording is off by default; the CLI's
-      [--ledger] and the bench harness switch it on.  Completed child spans
-      are capped (100k) to bound memory on huge builds — the cap drops
-      children, never top-level spans, and {!dropped} reports the loss.
+    When {!set_recording} is on, the span tree (name, attributes, start
+    time, duration, outcome, children) is kept for export via {!roots} /
+    {!span_to_json}; it is the only record of span time, and
+    {!Profile.of_spans} computes counts, totals and percentiles from it.
+    Recording is off by default; the CLI's [--ledger] and the bench harness
+    switch it on.  With recording off a span costs two clock reads and a
+    push and pop of the domain-local frame stack.  Completed child spans
+    are capped (100k) to bound memory on huge builds — the cap drops
+    children, never top-level spans, and {!dropped} reports the loss.
 
     The open-frame stack is per-domain (via {!Domain.DLS}): spans opened on
     a pool worker nest under that worker's own frames, and a span that
@@ -25,7 +22,7 @@
     root (the shared root list and both counters are synchronized).  So in
     a parallel characterization the per-arc spans of worker domains appear
     as additional roots rather than children of the spawning domain's
-    span — timing histograms are unaffected. *)
+    span. *)
 
 type outcome = Completed | Raised of string
 

@@ -112,9 +112,12 @@ type t = {
 let dir_rise = 0
 let dir_fall = 1
 
-let prepare ?config ~library netlist =
-  let analysis = Timing.analyze ?config ~library netlist in
-  let compiled = Netlist.compile netlist in
+let prepare ~library netlist =
+  let structure = Timing.prepare_structure netlist in
+  let analysis = Timing.analyze ~structure ~library netlist in
+  let compiled =
+    Netlist.compile_levelized netlist (Timing.levelization structure)
+  in
   (* delay.(pin).(out).(dir): propagation delay when input [pin] triggers a
      transition of output [out]. *)
   let gate_delays inst =
@@ -228,14 +231,13 @@ let prepare ?config ~library netlist =
     done
   done;
   let ffs = Array.of_list (Netlist.flipflops netlist) in
-  let cfg = Timing.config analysis in
   let clkq dir =
     Array.mapi
       (fun fi inst ->
         let entry = Timing.resolve_entry library inst.Netlist.cell_name in
         match Library.arc_of entry ~from_pin:"CK" ~to_pin:"Q" with
         | Some arc ->
-          Library.delay_of arc ~dir ~slew:cfg.Timing.clock_slew
+          Library.delay_of arc ~dir ~slew:Timing.clock_slew
             ~load:(Timing.load_on analysis compiled.Netlist.ff_q.(fi))
         | None -> 0.)
       ffs

@@ -12,7 +12,6 @@ type t
 (** A simulatable design: netlist + annotated delays. *)
 
 val prepare :
-  ?config:Aging_sta.Timing.config ->
   library:Aging_liberty.Library.t ->
   Aging_netlist.Netlist.t ->
   t

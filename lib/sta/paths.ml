@@ -69,7 +69,7 @@ let critical analysis =
   | [] -> failwith "Paths.critical: no endpoints"
   | worst :: _ -> trace analysis worst
 
-let retime ~library ~(config : Timing.config) ~analysis path =
+let retime ~library ~analysis path =
   let netlist = Timing.netlist analysis in
   (* Launch stage: either a primary input or a flip-flop Q pin. *)
   let first_dir =
@@ -79,18 +79,18 @@ let retime ~library ~(config : Timing.config) ~analysis path =
   in
   let start_arrival, start_slew =
     match Netlist.driver_of netlist path.start_net with
-    | None -> (0., config.Timing.input_slew)
+    | None -> (0., Timing.input_slew)
     | Some (ff_inst, qpin) ->
       let entry = Timing.resolve_entry library ff_inst.Netlist.cell_name in
       begin
         match Library.arc_of entry ~from_pin:"CK" ~to_pin:qpin with
-        | None -> (0., config.Timing.input_slew)
+        | None -> (0., Timing.input_slew)
         | Some arc ->
           let load = Timing.load_on analysis path.start_net in
-          ( Library.delay_of arc ~dir:first_dir ~slew:config.Timing.clock_slew
+          ( Library.delay_of arc ~dir:first_dir ~slew:Timing.clock_slew
               ~load,
             Library.out_slew_of arc ~dir:first_dir
-              ~slew:config.Timing.clock_slew ~load )
+              ~slew:Timing.clock_slew ~load )
       end
   in
   let final_arrival, _ =

@@ -35,8 +35,7 @@ val per_endpoint : Timing.analysis -> t list
     used to detect critical-path switching under aging. *)
 
 val retime :
-  library:Aging_liberty.Library.t -> config:Timing.config ->
-  analysis:Timing.analysis -> t -> float
+  library:Aging_liberty.Library.t -> analysis:Timing.analysis -> t -> float
 (** Re-evaluates the delay of exactly this gate sequence under another
     library, propagating slews stage by stage while keeping each stage's
     capacitive load as computed on the full netlist.  Returns the new

@@ -18,20 +18,10 @@ let m_extrapolated =
     (fun side -> Metrics.counter ("sta.lookups.extrapolated." ^ side))
     [| "slew_low"; "slew_high"; "load_low"; "load_high" |]
 
-type config = {
-  input_slew : float;
-  clock_slew : float;
-  output_load : float;
-  wire_cap_per_fanout : float;
-}
-
-let default_config =
-  {
-    input_slew = 2e-11;
-    clock_slew = 2e-11;
-    output_load = 4e-15;
-    wire_cap_per_fanout = 2e-16;
-  }
+let input_slew = 2e-11
+let clock_slew = 2e-11
+let output_load = 4e-15
+let wire_cap_per_fanout = 2e-16
 
 type endpoint =
   | Output_port of string * Netlist.net
@@ -87,6 +77,8 @@ let prepare_structure (netlist : Netlist.t) =
     if is_ff.(i) then ffs := i :: !ffs
   done;
   { comb_order; ff_indices = Array.of_list !ffs; is_ff; nets }
+
+let levelization s = (s.is_ff, s.comb_order)
 
 (* A cell resolved against the library for one pin layout, shared by every
    instance of that cell in a pass: the capacitance of each input pin (in
@@ -197,7 +189,6 @@ type analysis = {
   structure : structure;
   base : Netlist.t;  (* connectivity and ports; cells are in [insts] *)
   library : Library.t;
-  config : config;
   insts : Netlist.instance array;
   cells : cell_timing array;   (* per instance *)
   loads : float array;
@@ -249,15 +240,15 @@ let reset t net =
   t.arr.(1).(net) <- neg_infinity;
   t.min_arr.(0).(net) <- infinity;
   t.min_arr.(1).(net) <- infinity;
-  t.slews.(0).(net) <- t.config.input_slew;
-  t.slews.(1).(net) <- t.config.input_slew;
+  t.slews.(0).(net) <- input_slew;
+  t.slews.(1).(net) <- input_slew;
   t.prov.(0).(net) <- -1;
   t.prov.(1).(net) <- -1
 
 (* Flip-flop Q nets launch at clk->q. *)
 let launch t arc q i =
   let io = t.io in
-  io.(0) <- t.config.clock_slew;
+  io.(0) <- clock_slew;
   io.(1) <- t.loads.(q);
   let outside = lookup arc i io in
   count t outside;
@@ -317,7 +308,7 @@ let eval t i =
   done;
   t.arcs_evaluated <- t.arcs_evaluated + Array.length arcs
 
-let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
+let full_pass ?structure ~library ~insts (netlist : Netlist.t) =
   Span.with_ "sta.analyze"
     ~attrs:[ ("design", netlist.Netlist.design_name) ]
   @@ fun () ->
@@ -333,24 +324,23 @@ let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
       let nets = structure.nets.(i) in
       for k = 0 to Array.length c.caps - 1 do
         let net = nets.(k) in
-        loads.(net) <- loads.(net) +. c.caps.(k) +. config.wire_cap_per_fanout
+        loads.(net) <- loads.(net) +. c.caps.(k) +. wire_cap_per_fanout
       done)
     cells;
   List.iter
-    (fun (_, net) -> loads.(net) <- loads.(net) +. config.output_load)
+    (fun (_, net) -> loads.(net) <- loads.(net) +. output_load)
     netlist.Netlist.output_ports;
   let t =
     {
       structure;
       base = netlist;
       library;
-      config;
       insts;
       cells;
       loads;
       arr = [| Array.make n neg_infinity; Array.make n neg_infinity |];
       min_arr = [| Array.make n infinity; Array.make n infinity |];
-      slews = [| Array.make n config.input_slew; Array.make n config.input_slew |];
+      slews = [| Array.make n input_slew; Array.make n input_slew |];
       prov = [| Array.make n (-1); Array.make n (-1) |];
       io = Array.make 4 0.;
       lookups = 0;
@@ -373,9 +363,8 @@ let full_pass ~config ?structure ~library ~insts (netlist : Netlist.t) =
   flush t;
   t
 
-let analyze ?(config = default_config) ?structure ~library
-    (netlist : Netlist.t) =
-  full_pass ~config ?structure ~library ~insts:netlist.Netlist.instances netlist
+let analyze ?structure ~library (netlist : Netlist.t) =
+  full_pass ?structure ~library ~insts:netlist.Netlist.instances netlist
 
 let netlist t =
   match t.netlist with
@@ -386,7 +375,6 @@ let netlist t =
     nl
 
 let library t = t.library
-let config t = t.config
 let instance t i = t.insts.(i)
 let arrival t net dir = t.arr.(dir_index dir).(net)
 let min_arrival t net dir = t.min_arr.(dir_index dir).(net)
@@ -519,9 +507,9 @@ module Incremental = struct
     mutable journal : undo list;  (* newest first *)
   }
 
-  let create ?(config = default_config) ~library (netlist : Netlist.t) =
+  let create ~library (netlist : Netlist.t) =
     let a =
-      full_pass ~config ~library
+      full_pass ~library
         ~insts:(Array.copy netlist.Netlist.instances) netlist
     in
     let s = a.structure in
@@ -582,10 +570,10 @@ module Incremental = struct
     for k = 0 to Array.length insts - 1 do
       load :=
         !load +. a.cells.(insts.(k)).caps.(pins.(k))
-        +. a.config.wire_cap_per_fanout
+        +. wire_cap_per_fanout
     done;
     for _ = 1 to t.port_loads.(net) do
-      load := !load +. a.config.output_load
+      load := !load +. output_load
     done;
     !load
 

@@ -9,14 +9,12 @@
     Clocks are ideal (zero skew, zero latency).  Flip-flop Q nets launch at
     the clk->q delay; flip-flop D pins and primary outputs are endpoints. *)
 
-type config = {
-  input_slew : float;       (** transition assumed at primary inputs [s] *)
-  clock_slew : float;       (** transition of the clock at flip-flops [s] *)
-  output_load : float;      (** capacitance on primary outputs [F] *)
-  wire_cap_per_fanout : float;  (** lumped interconnect model [F] *)
-}
+val input_slew : float
+(** Transition assumed at primary inputs: 20 ps.  Primary outputs carry
+    4 fF, and each driven input pin adds 0.2 fF of lumped wire load. *)
 
-val default_config : config
+val clock_slew : float
+(** Transition of the clock at flip-flops: 20 ps. *)
 
 val resolve_entry :
   Aging_liberty.Library.t -> string -> Aging_liberty.Library.entry
@@ -36,8 +34,12 @@ type structure
 
 val prepare_structure : Aging_netlist.Netlist.t -> structure
 
+val levelization : structure -> bool array * int array
+(** The {!Aging_netlist.Netlist.levelize} result the structure was built
+    from. *)
+
 val analyze :
-  ?config:config -> ?structure:structure ->
+  ?structure:structure ->
   library:Aging_liberty.Library.t -> Aging_netlist.Netlist.t ->
   analysis
 (** Times the netlist against the library.  Instance cell names are resolved
@@ -55,7 +57,6 @@ val instance : analysis -> int -> Aging_netlist.Netlist.instance
     netlist. *)
 
 val library : analysis -> Aging_liberty.Library.t
-val config : analysis -> config
 
 val arrival :
   analysis -> Aging_netlist.Netlist.net -> Aging_liberty.Library.direction ->
@@ -128,7 +129,7 @@ module Incremental : sig
   type t
 
   val create :
-    ?config:config -> library:Aging_liberty.Library.t ->
+    library:Aging_liberty.Library.t ->
     Aging_netlist.Netlist.t -> t
   (** Times the netlist once (a full pass, counted in [sta.analyses]).
       @raise Failure as {!analyze}. *)

@@ -13,56 +13,44 @@ module Dct = Aging_image.Dct
 
 let deglib () = Lazy.force Fixtures.deglib
 
-let test_deglib_memoization () =
-  let t = deglib () in
-  let a = Deg.fresh t and b = Deg.fresh t in
-  Alcotest.(check bool) "same library object" true (a == b);
-  let w = Deg.worst_case t in
-  Alcotest.(check bool) "distinct corners distinct" true (not (a == w))
-
 let metric name =
   Option.value ~default:0. (Aging_obs.Metrics.value_by_name name)
 
-let test_deglib_memo_bounded () =
-  (* A long corner sweep must not grow the in-memory memo without limit:
-     past [memo_cap] corners the least-recently-used library is evicted,
-     the counters record it, and the evicted corner is transparently
-     re-characterized to an identical library on the next request.  The
-     analytic backend keeps cap + 1 builds cheap. *)
+let test_deglib_memoization () =
+  let t = deglib () in
+  let a = Deg.fresh t in
+  let hit0 = metric "cache.memo_hit" in
+  let b = Deg.fresh t in
+  Alcotest.(check bool) "same library object" true (a == b);
+  Alcotest.(check bool) "repeat request is a memo hit" true
+    (metric "cache.memo_hit" > hit0);
+  let w = Deg.worst_case t in
+  Alcotest.(check bool) "distinct corners distinct" true (not (a == w))
+
+let test_deglib_corner_memo () =
+  (* A corner sweep keeps every library it built resident: a repeat request
+     for any earlier corner is a memo hit returning the same object.  The
+     analytic backend keeps the sweep cheap. *)
   let cells = [ Aging_cells.Catalog.find_exn "INV_X1" ] in
   let t =
     Deg.create ~backend:Aging_liberty.Characterize.Analytic ~cells
       ~axes:Axes.coarse ()
   in
+  let n = 16 in
   let corners =
-    List.init (Deg.memo_cap + 1) (fun i ->
-        let x = float_of_int i /. float_of_int Deg.memo_cap in
+    List.init n (fun i ->
+        let x = float_of_int i /. float_of_int (n - 1) in
         Scenario.corner ~lambda_p:x ~lambda_n:(1. -. x))
   in
-  let c1 = List.hd corners and c2 = List.nth corners 1 in
-  let d lib =
-    Library.delay_of
-      (List.hd (Library.find_exn lib "INV_X1").Library.arcs)
-      ~dir:Library.Rise ~slew:4e-11 ~load:2e-15
-  in
-  let lib1 = Deg.corner t c1 in
-  let lib2 = Deg.corner t c2 in
+  let libs = List.map (Deg.corner t) corners in
   let hit0 = metric "cache.memo_hit" in
-  Alcotest.(check bool) "resident corner is a memo hit" true
-    (Deg.corner t c2 == lib2 && metric "cache.memo_hit" > hit0);
-  (* The hit refreshed [c2], so [c1] is the least recently used. *)
-  let evict0 = metric "cache.memo_evict" in
-  List.iter (fun c -> ignore (Deg.corner t c)) (List.tl (List.tl corners));
-  Alcotest.(check bool) "corner cap + 1 evicts" true
-    (metric "cache.memo_evict" > evict0);
-  Alcotest.(check int) "memo stays at cap" Deg.memo_cap (Deg.memo_length t);
-  Alcotest.(check bool) "recently used corner stays resident" true
-    (Deg.corner t c2 == lib2);
-  (* The evicted corner rebuilds to an identical library (fresh object). *)
-  let lib1' = Deg.corner t c1 in
-  Alcotest.(check bool) "evicted library was dropped" true (not (lib1 == lib1'));
-  Alcotest.(check (float 0.)) "re-characterization is identical" (d lib1)
-    (d lib1')
+  List.iter2
+    (fun c lib ->
+      Alcotest.(check bool) "earlier corner is still resident" true
+        (Deg.corner t c == lib))
+    corners libs;
+  Alcotest.(check bool) "every repeat is a memo hit" true
+    (metric "cache.memo_hit" >= hit0 +. float_of_int n)
 
 let test_deglib_disk_cache () =
   let dir = Filename.temp_file "alib" "" in
@@ -348,7 +336,7 @@ let test_reference_image () =
 let suite =
   [
     ("deglib: memoization", `Quick, test_deglib_memoization);
-    ("deglib: memo is LRU-bounded", `Quick, test_deglib_memo_bounded);
+    ("deglib: corner memo hits", `Quick, test_deglib_corner_memo);
     ("deglib: disk cache", `Quick, test_deglib_disk_cache);
     ("deglib: corrupt cache rebuilds", `Quick, test_deglib_corrupt_cache_rebuilds);
     ("deglib: fingerprint sensitivity", `Quick, test_fingerprint_sensitivity);

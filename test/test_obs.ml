@@ -28,12 +28,8 @@ let test_counter () =
 
 let test_kind_mismatch () =
   ignore (Metrics.counter "test.obs.kind");
-  (try
-     ignore (Metrics.gauge "test.obs.kind");
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
   try
-    ignore (Metrics.histogram "test.obs.kind");
+    ignore (Metrics.gauge "test.obs.kind");
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -43,31 +39,13 @@ let test_gauge () =
   Metrics.set g 42.;
   Alcotest.(check (float 0.)) "last write wins" 42. (Metrics.gauge_value g)
 
-let test_histogram () =
-  let h = Metrics.histogram ~bounds:[| 1.; 10.; 100. |] "test.obs.hist" in
-  List.iter (Metrics.observe h) [ 0.5; 5.; 5.; 50.; 5000. ];
-  Alcotest.(check int) "count" 5 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 5060.5 (Metrics.histogram_sum h);
-  Alcotest.(check (list (pair (float 0.) int)))
-    "per-bucket counts with overflow"
-    [ (1., 1); (10., 2); (100., 1); (infinity, 1) ]
-    (Metrics.bucket_counts h);
-  Alcotest.check_raises "non-ascending bounds"
-    (Invalid_argument
-       "Aging_obs.Metrics: histogram test.obs.hist.bad bounds not ascending")
-    (fun () ->
-      ignore (Metrics.histogram ~bounds:[| 2.; 1. |] "test.obs.hist.bad"))
-
 let test_metrics_json () =
   let c = Metrics.counter "test.obs.json.counter" in
   Metrics.incr ~by:7 c;
-  let h = Metrics.histogram ~bounds:[| 1. |] "test.obs.json.hist" in
-  Metrics.observe h 0.5;
-  Metrics.observe h 2.;
   (* The export must survive a round trip through its own parser and keep
      counter integers exact. *)
   let doc = Json.of_string (Json.to_string ~pretty:true (Metrics.to_json ())) in
-  (match Json.member "test.obs.json.counter" doc with
+  match Json.member "test.obs.json.counter" doc with
   | Some entry ->
     Alcotest.(check (option string)) "type tag" (Some "counter")
       (match Json.member "type" entry with
@@ -75,20 +53,7 @@ let test_metrics_json () =
       | _ -> None);
     Alcotest.(check bool) "exact integer value" true
       (Json.member "value" entry = Some (Json.Int 7))
-  | None -> Alcotest.fail "counter missing from JSON export");
-  match Json.member "test.obs.json.hist" doc with
-  | Some entry ->
-    Alcotest.(check bool) "histogram count" true
-      (Json.member "count" entry = Some (Json.Int 2));
-    (* the overflow bucket bound serializes as the string "+Inf" *)
-    let buckets =
-      match Json.member "buckets" entry with Some (Json.List l) -> l | _ -> []
-    in
-    Alcotest.(check bool) "overflow bound is \"+Inf\"" true
-      (List.exists
-         (fun b -> Json.member "le" b = Some (Json.String "+Inf"))
-         buckets)
-  | None -> Alcotest.fail "histogram missing from JSON export"
+  | None -> Alcotest.fail "counter missing from JSON export"
 
 (* ------------------------------- json ------------------------------- *)
 
@@ -158,7 +123,6 @@ let test_span_nesting () =
 let test_span_exception_safety () =
   Span.reset ();
   Span.set_recording true;
-  Metrics.reset ();
   (try
      Span.with_ "test.boom" (fun () ->
          Span.with_ "test.boom.inner" (fun () -> failwith "kaboom"))
@@ -167,7 +131,7 @@ let test_span_exception_safety () =
      the raised one. *)
   Span.with_ "test.after" (fun () -> ());
   Span.set_recording false;
-  (match Span.roots () with
+  match Span.roots () with
   | [ boom; after ] ->
     Alcotest.(check string) "raised root" "test.boom" boom.Span.name;
     Alcotest.(check bool) "outcome raised" true
@@ -178,20 +142,7 @@ let test_span_exception_safety () =
       (List.length boom.Span.children);
     Alcotest.(check string) "next span is a fresh root" "test.after"
       after.Span.name
-  | roots -> Alcotest.failf "expected 2 roots, got %d" (List.length roots));
-  Alcotest.(check int) "error counter bumped" 1
-    (Metrics.value (Metrics.counter "span.test.boom.errors"))
-
-let test_span_histogram_without_recording () =
-  Span.reset ();
-  Metrics.reset ();
-  Alcotest.(check bool) "recording off" false (Span.recording ());
-  Span.with_ "test.cheap" (fun () -> ());
-  Span.with_ "test.cheap" (fun () -> ());
-  Alcotest.(check (list (pair string string))) "no tree recorded" []
-    (List.map (fun (s : Span.t) -> (s.Span.name, "")) (Span.roots ()));
-  Alcotest.(check int) "duration histogram still fed" 2
-    (Metrics.histogram_count (Metrics.histogram "span.test.cheap"))
+  | roots -> Alcotest.failf "expected 2 roots, got %d" (List.length roots)
 
 (* ---------------------- log levels and warnings ---------------------- *)
 
@@ -271,58 +222,6 @@ let test_build_metrics_parallel () =
   Alcotest.(check bool) "grid measured" true (t.Characterize.points > 0);
   Alcotest.(check int) "counters partition the grid" t.Characterize.points
     (t.Characterize.clean + t.Characterize.recovered)
-
-(* ---------------------------- percentiles ---------------------------- *)
-
-let test_percentiles () =
-  (* 100 observations spread as 50 / 30 / 20 across three buckets. *)
-  let buckets = [ (10., 50); (100., 30); (1000., 20); (infinity, 0) ] in
-  let p q = Metrics.percentile_of_buckets buckets q in
-  (* Geometric interpolation: p50 lands exactly on the first bucket's upper
-     bound; the p80 boundary lands on 100. *)
-  Alcotest.(check (float 1e-9)) "p50 at bucket edge" 10. (p 0.5);
-  Alcotest.(check (float 1e-9)) "p80 at bucket edge" 100. (p 0.8);
-  Alcotest.(check (float 1e-9)) "p100 = last finite bound" 1000. (p 1.0);
-  (* Within the second bucket (log-spaced 10..100), the 65th percentile is
-     halfway through in rank, i.e. sqrt(10*100) in log space. *)
-  Alcotest.(check (float 1e-6)) "geometric within bucket"
-    (sqrt (10. *. 100.)) (p 0.65);
-  (* First bucket interpolates linearly from 0. *)
-  Alcotest.(check (float 1e-9)) "first bucket linear" 5. (p 0.25);
-  Alcotest.(check bool) "q clamps" true (p (-1.) = p 0. && p 2. = p 1.);
-  (* Overflow observations report the last finite bound, not infinity. *)
-  Alcotest.(check (float 1e-9)) "overflow clamped"
-    10.
-    (Metrics.percentile_of_buckets [ (10., 1); (infinity, 9) ] 0.99);
-  Alcotest.(check bool) "empty is nan" true
-    (Float.is_nan (Metrics.percentile_of_buckets [ (10., 0) ] 0.5))
-
-let test_approx_percentile () =
-  let h = Metrics.histogram ~bounds:[| 1.; 10.; 100. |] "test.obs.pctl" in
-  List.iter (Metrics.observe h) [ 5.; 5.; 5.; 5. ];
-  let p50 = Metrics.approx_percentile h 0.5 in
-  (* All mass in (1,10]: any quantile interpolates inside that bucket. *)
-  Alcotest.(check bool) "p50 within the populated bucket" true
-    (p50 > 1. && p50 <= 10.);
-  Alcotest.(check bool) "monotone in q" true
-    (Metrics.approx_percentile h 0.95 >= p50)
-
-let test_buckets_of_json () =
-  Metrics.reset ();
-  let h = Metrics.histogram ~bounds:[| 1.; 10. |] "test.obs.bjson" in
-  List.iter (Metrics.observe h) [ 0.5; 3.; 30. ];
-  let doc = Json.of_string (Json.to_string (Metrics.to_json ())) in
-  let entry = Option.get (Json.member "test.obs.bjson" doc) in
-  match Metrics.buckets_of_json entry with
-  | None -> Alcotest.fail "buckets_of_json rejected its own export"
-  | Some buckets ->
-    Alcotest.(check (list (pair (float 0.) int)))
-      "buckets survive the JSON round trip"
-      [ (1., 1); (10., 1); (infinity, 1) ]
-      buckets;
-    Alcotest.(check (float 1e-9)) "same percentile before and after"
-      (Metrics.approx_percentile h 0.5)
-      (Metrics.percentile_of_buckets buckets 0.5)
 
 (* ----------------------- non-finite float JSON ----------------------- *)
 
@@ -628,6 +527,41 @@ let test_profile_telescopes () =
   Alcotest.(check bool) "table renders the hottest rows" true
     (String.length table > 0)
 
+let test_profile_percentiles () =
+  let span ?(children = []) name duration =
+    {
+      Span.name;
+      attrs = [];
+      t_start = 0.;
+      duration;
+      outcome = Span.Completed;
+      children;
+    }
+  in
+  let leaves = List.map (span "test.prof.leaf") in
+  let roots =
+    [
+      span "test.prof.outer" 10. ~children:(leaves [ 0.5; 3.; 1. ]);
+      span "test.prof.outer" 4. ~children:(leaves [ 2.; 0.25 ]);
+    ]
+  in
+  let rows = Profile.of_spans roots in
+  let check name durations ~p50 ~p95 =
+    let r = List.find (fun (r : Profile.row) -> r.Profile.name = name) rows in
+    Alcotest.(check int) (name ^ " count") (List.length durations)
+      r.Profile.count;
+    Alcotest.(check (float 0.)) (name ^ " p50 is Stats.percentile")
+      (Aging_util.Stats.percentile 50. durations) r.Profile.p50_s;
+    Alcotest.(check (float 0.)) (name ^ " p95 is Stats.percentile")
+      (Aging_util.Stats.percentile 95. durations) r.Profile.p95_s;
+    Alcotest.(check (float 1e-12)) (name ^ " p50") p50 r.Profile.p50_s;
+    Alcotest.(check (float 1e-12)) (name ^ " p95") p95 r.Profile.p95_s;
+    Alcotest.(check bool) (name ^ " p95 <= largest duration") true
+      (r.Profile.p95_s <= List.fold_left Float.max 0. durations)
+  in
+  check "test.prof.leaf" [ 0.5; 3.; 1.; 2.; 0.25 ] ~p50:1. ~p95:2.8;
+  check "test.prof.outer" [ 10.; 4. ] ~p50:7. ~p95:9.7
+
 (* ---------------------------- runtime totals ---------------------------- *)
 
 module Runtime = Aging_obs.Runtime
@@ -797,15 +731,12 @@ let suite =
     Alcotest.test_case "counter get-or-create / reset" `Quick test_counter;
     Alcotest.test_case "metric kind mismatch" `Quick test_kind_mismatch;
     Alcotest.test_case "gauge" `Quick test_gauge;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram;
     Alcotest.test_case "metrics JSON export" `Quick test_metrics_json;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parser" `Quick test_json_parse;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick
       test_span_exception_safety;
-    Alcotest.test_case "span histogram without recording" `Quick
-      test_span_histogram_without_recording;
     Alcotest.test_case "log levels" `Quick test_log_levels;
     Alcotest.test_case "build counters match report (clean)" `Slow
       test_build_metrics_clean;
@@ -813,10 +744,6 @@ let suite =
       test_build_metrics_retried;
     Alcotest.test_case "build counters match report (parallel)" `Slow
       test_build_metrics_parallel;
-    Alcotest.test_case "percentiles from buckets" `Quick test_percentiles;
-    Alcotest.test_case "approx percentile" `Quick test_approx_percentile;
-    Alcotest.test_case "buckets from JSON snapshot" `Quick
-      test_buckets_of_json;
     Alcotest.test_case "non-finite float JSON" `Quick test_nonfinite_floats;
     Alcotest.test_case "span JSON round trip" `Quick test_span_json_roundtrip;
     Alcotest.test_case "ledger capture/append/load" `Quick
@@ -828,6 +755,8 @@ let suite =
       test_ledger_concurrent_appends;
     Alcotest.test_case "chrome trace export (parallel build)" `Slow
       test_trace_export_parallel;
+    Alcotest.test_case "profile percentiles are exact" `Quick
+      test_profile_percentiles;
     Alcotest.test_case "profile self times telescope" `Slow
       test_profile_telescopes;
     Alcotest.test_case "runtime sampler gauges and totals" `Quick

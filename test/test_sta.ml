@@ -45,16 +45,6 @@ let test_aged_slower () =
   Alcotest.(check bool) "aged period larger" true (a > f);
   Alcotest.(check bool) "guardband below 40%" true (a /. f < 1.4)
 
-let test_output_load_config () =
-  let nl = chain 2 in
-  let p load =
-    Timing.min_period
-      (Timing.analyze
-         ~config:{ Timing.default_config with Timing.output_load = load }
-         ~library:(fresh ()) nl)
-  in
-  Alcotest.(check bool) "bigger output load is slower" true (p 1.6e-14 > p 1e-15)
-
 let test_retime_matches_arrival () =
   (* Re-timing the critical path under the same library must reproduce the
      analysis arrival: same tables, same loads, same slews. *)
@@ -63,7 +53,7 @@ let test_retime_matches_arrival () =
   let analysis = Timing.analyze ~library:lib nl in
   let cp = Paths.critical analysis in
   let retimed =
-    Paths.retime ~library:lib ~config:(Timing.config analysis) ~analysis cp
+    Paths.retime ~library:lib ~analysis cp
   in
   Fixtures.check_close ~tol:1e-13 "retime consistency"
     cp.Paths.endpoint.Timing.data_arrival retimed
@@ -73,10 +63,10 @@ let test_retime_aged_larger () =
   let analysis = Timing.analyze ~library:(fresh ()) nl in
   let cp = Paths.critical analysis in
   let fresh_d =
-    Paths.retime ~library:(fresh ()) ~config:(Timing.config analysis) ~analysis cp
+    Paths.retime ~library:(fresh ()) ~analysis cp
   in
   let aged_d =
-    Paths.retime ~library:(aged ()) ~config:(Timing.config analysis) ~analysis cp
+    Paths.retime ~library:(aged ()) ~analysis cp
   in
   Alcotest.(check bool) "aged retime larger" true (aged_d > fresh_d)
 
@@ -322,7 +312,6 @@ let suite =
     ("sta: full pass allocation and work", `Quick, test_full_pass_allocation_and_work);
     ("sta: depth monotone", `Quick, test_longer_chain_slower);
     ("sta: aged library slower", `Quick, test_aged_slower);
-    ("sta: output load config", `Quick, test_output_load_config);
     ("paths: retime consistency", `Quick, test_retime_matches_arrival);
     ("paths: aged retime larger", `Quick, test_retime_aged_larger);
     ("sta: sequential endpoints", `Quick, test_sequential_endpoints);

@@ -303,48 +303,6 @@ let test_pool_balances_skewed_input () =
     (List.map (fun i -> (i * i) + 1) (range n))
     got
 
-(* -------------------------------- lru -------------------------------- *)
-
-module Lru = Aging_util.Lru
-
-let test_lru_eviction_order () =
-  let c = Lru.create ~cap:2 in
-  Alcotest.(check bool) "no eviction below cap" true (Lru.put c "a" 1 = None);
-  Alcotest.(check bool) "no eviction at cap" true (Lru.put c "b" 2 = None);
-  (* touch "a" so "b" becomes the eviction victim *)
-  Alcotest.(check bool) "find hits and promotes" true (Lru.find c "a" = Some 1);
-  Alcotest.(check bool) "lru binding handed back" true
-    (Lru.put c "c" 3 = Some ("b", 2));
-  Alcotest.(check bool) "victim gone" false (Lru.mem c "b");
-  Alcotest.(check bool) "promoted survivor present" true (Lru.mem c "a");
-  Alcotest.(check int) "length at cap" 2 (Lru.length c);
-  Alcotest.(check bool) "mru first" true
-    (Lru.to_list c = [ ("c", 3); ("a", 1) ]);
-  Alcotest.check_raises "cap validated"
-    (Invalid_argument "Lru.create: cap must be >= 1") (fun () ->
-      ignore (Lru.create ~cap:0))
-
-let test_lru_replace_promotes () =
-  let c = Lru.create ~cap:2 in
-  ignore (Lru.put c "a" 1);
-  ignore (Lru.put c "b" 2);
-  (* replacing "a" promotes it and never evicts *)
-  Alcotest.(check bool) "replace evicts nothing" true (Lru.put c "a" 9 = None);
-  Alcotest.(check bool) "replaced value" true (Lru.find c "a" = Some 9);
-  Alcotest.(check bool) "replacement made b the victim" true
-    (Lru.put c "c" 3 = Some ("b", 2))
-
-let test_lru_remove_clear () =
-  let c = Lru.create ~cap:4 in
-  ignore (Lru.put c 1 "one");
-  ignore (Lru.put c 2 "two");
-  Lru.remove c 1;
-  Alcotest.(check bool) "removed" false (Lru.mem c 1);
-  Alcotest.(check int) "length after remove" 1 (Lru.length c);
-  Lru.clear c;
-  Alcotest.(check int) "cleared" 0 (Lru.length c);
-  Alcotest.(check bool) "cap unchanged" true (Lru.cap c = 4)
-
 let suite =
   [
     ("interp: grid points", `Quick, test_linear_grid_points);
@@ -375,9 +333,6 @@ let suite =
     ("pool: reusable after a worker raises", `Quick,
      test_pool_reusable_after_failure);
     ("pool: balances a skewed input", `Quick, test_pool_balances_skewed_input);
-    ("lru: eviction order", `Quick, test_lru_eviction_order);
-    ("lru: replace promotes", `Quick, test_lru_replace_promotes);
-    ("lru: remove and clear", `Quick, test_lru_remove_clear);
   ]
 
 let props = [ prop_linear_bounded; prop_bilinear_bounded; prop_rng_float_range; prop_rng_int_range ]
